@@ -242,6 +242,15 @@ void BM_HittingTimeMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_HittingTimeMatrix)->Arg(9)->Arg(15);
 
+void BM_HittingExtremesSymmetric(benchmark::State& state) {
+  const Graph g = make_grid_2d(static_cast<Vertex>(state.range(0)),
+                               GridTopology::kTorus);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hitting_extremes(g).h_max);
+  }
+}
+BENCHMARK(BM_HittingExtremesSymmetric)->Arg(9)->Arg(15);
+
 void BM_ExactCoverSubsetDp(benchmark::State& state) {
   const Graph g = make_cycle(static_cast<Vertex>(state.range(0)));
   for (auto _ : state) {

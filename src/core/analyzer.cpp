@@ -43,8 +43,7 @@ HmaxEstimate measure_h_max(const Graph& g, const McOptions& mc,
   HmaxEstimate est;
 
   if (n <= exact_limit) {
-    const DenseMatrix h = hitting_time_matrix(g);
-    const HittingExtremes ext = hitting_extremes(h);
+    const HittingExtremes ext = hitting_extremes(g);
     est.value = ext.h_max;
     est.exact = true;
     est.from = ext.argmax_from;

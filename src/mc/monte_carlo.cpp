@@ -73,15 +73,14 @@ McResult run_monte_carlo(const TrialFn& trial, const McOptions& options,
   while (done < options.max_trials) {
     // Batch size: the first batch covers min_trials so the CI is
     // meaningful at the first check; afterwards batches grow geometrically
-    // (each rendezvous doubles the completed-trial count, floored at
-    // enough work to keep every worker busy, capped by the remaining
-    // budget). Cheap small-n trials would otherwise pay a full
-    // parallel_for submit + condition-variable rendezvous per ~8 trials.
-    const std::uint64_t floor_batch =
-        lane_mode ? 8
-                  : std::max<std::uint64_t>(2ULL * (pool->size() + 1), 8);
+    // (each rendezvous doubles the completed-trial count, floored at 8,
+    // capped by the remaining budget). Cheap small-n trials would
+    // otherwise pay a full parallel_for submit + condition-variable
+    // rendezvous per ~8 trials. The floor must not depend on the pool
+    // size: batch boundaries are where the CI stop is checked, so they
+    // fix the trial count an adaptive estimate stops at.
     const std::uint64_t want =
-        done == 0 ? options.min_trials : std::max(floor_batch, done);
+        done == 0 ? options.min_trials : std::max<std::uint64_t>(8, done);
     const std::uint64_t batch = std::min(want, options.max_trials - done);
     batch_values.assign(batch, TrialOutcome{});
     if (metrics != nullptr) metrics->add(obs::Metric::kTrialsStarted, batch);

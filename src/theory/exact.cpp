@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "graph/properties.hpp"
 #include "linalg/markov.hpp"
@@ -91,8 +92,139 @@ HittingExtremes hitting_extremes(const DenseMatrix& hitting_matrix) {
   return ext;
 }
 
+namespace {
+
+/// y[0, len) += sum over k in [first, last) of coef(k) * row(k)[0, len),
+/// with len = len_of(k): the one inner loop of the symmetric oracle. Every
+/// access is contiguous, so -O3 vectorizes it without -march flags, and
+/// four source rows share each pass over y, so y is loaded and stored once
+/// per four multiply-adds. A group of four runs to its last row's length;
+/// the caller's rows must read as zero past their own lengths.
+template <typename Row, typename Coef, typename Len>
+void accumulate_rows(double* y, std::size_t first, std::size_t last, Row row,
+                     Coef coef, Len len_of) {
+  std::size_t k = first;
+  for (; k + 4 <= last; k += 4) {
+    const double* x0 = row(k);
+    const double* x1 = row(k + 1);
+    const double* x2 = row(k + 2);
+    const double* x3 = row(k + 3);
+    const double a0 = coef(k);
+    const double a1 = coef(k + 1);
+    const double a2 = coef(k + 2);
+    const double a3 = coef(k + 3);
+    const std::size_t len = len_of(k + 3);
+    for (std::size_t c = 0; c < len; ++c) {
+      y[c] += a0 * x0[c] + a1 * x1[c] + a2 * x2[c] + a3 * x3[c];
+    }
+  }
+  for (; k < last; ++k) {
+    const double* x = row(k);
+    const double a = coef(k);
+    const std::size_t len = len_of(k);
+    for (std::size_t c = 0; c < len; ++c) y[c] += a * x[c];
+  }
+}
+
+}  // namespace
+
 HittingExtremes hitting_extremes(const Graph& g) {
-  return hitting_extremes(hitting_time_matrix(g));
+  const std::size_t n = g.num_vertices();
+  MW_REQUIRE(is_connected(g), "hitting times need a connected graph");
+  MW_REQUIRE(n >= 2, "need at least two vertices");
+
+  // The simple walk is reversible, so M = I - P + 1 pi^T is similar to the
+  // symmetric positive definite M_sym = I - S + s s^T with
+  // S = D^{-1/2} A D^{-1/2} and s = sqrt(pi):  M = D^{-1/2} M_sym D^{1/2}.
+  // Hence Z = M^{-1} has Z(i,j) = Y(i,j) s(j)/s(i) with Y = M_sym^{-1}, and
+  // h(i,j) = (Z(j,j) - Z(i,j))/pi(j) as in hitting_time_matrix. Y comes
+  // from M_sym = U^T U as W^T W with W = U^{-T}: two n x n buffers, about
+  // n^3/2 multiply-adds, and H itself is never stored.
+  const std::vector<double> pi = stationary_distribution(g);
+  std::vector<double> s(n);
+  for (std::size_t v = 0; v < n; ++v) s[v] = std::sqrt(pi[v]);
+
+  // Upper triangle of M_sym, row-major; the lower triangle is unused until
+  // it receives Y. Each arc v->x subtracts 1/sqrt(deg(v) deg(x)).
+  std::vector<double> u(n * n, 0.0);
+  for (Vertex i = 0; i < n; ++i) {
+    double* row = u.data() + i * n;
+    for (std::size_t j = i; j < n; ++j) row[j] = s[i] * s[j];
+    row[i] += 1.0;
+    const double deg_i = static_cast<double>(g.degree(i));
+    for (Vertex x : g.neighbors(i)) {
+      if (x < i) continue;
+      row[x] -= 1.0 / std::sqrt(deg_i * static_cast<double>(g.degree(x)));
+    }
+  }
+  const auto u_at = [&](std::size_t r, std::size_t c) { return u[r * n + c]; };
+
+  // 1. Upper Cholesky in place, row by row: U(k, k..n) is M_sym's row minus
+  //    U(j,k) U(j, k..n) over the finished rows j < k, then scaled.
+  for (std::size_t k = 0; k < n; ++k) {
+    double* row_k = u.data() + k * n + k;
+    accumulate_rows(
+        row_k, 0, k, [&](std::size_t j) { return u.data() + j * n + k; },
+        [&](std::size_t j) { return -u_at(j, k); },
+        [&](std::size_t) { return n - k; });
+    const double pivot = row_k[0];
+    MW_REQUIRE(pivot > 1e-12, "M_sym not positive definite in "
+                              "hitting_extremes (pivot "
+                                  << pivot << " at column " << k << ")");
+    const double root = std::sqrt(pivot);
+    row_k[0] = root;
+    for (std::size_t c = 1; c < n - k; ++c) row_k[c] /= root;
+  }
+
+  // 2. W = U^{-T} by solving L W = I with L = U^T (L(i,k) = U(k,i)): row i
+  //    of W is e_i minus L(i,k) W(k, 0..k) over k < i, then scaled. Rows of
+  //    W are zero past the diagonal, as accumulate_rows needs.
+  std::vector<double> w(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    double* row_i = w.data() + i * n;
+    accumulate_rows(
+        row_i, 0, i, [&](std::size_t k) { return w.data() + k * n; },
+        [&](std::size_t k) { return -u_at(k, i); },
+        [&](std::size_t k) { return k + 1; });
+    row_i[i] = 1.0;
+    const double diag = u_at(i, i);
+    for (std::size_t c = 0; c <= i; ++c) row_i[c] /= diag;
+  }
+
+  // 3. Y = W^T W: row i of its lower triangle, Y(i, 0..i), is the sum of
+  //    W(k,i) W(k, 0..i) over k >= i, accumulated over the factor's (now
+  //    unneeded) buffer; then mirrored so the scan reads Y row-major.
+  for (std::size_t i = 0; i < n; ++i) {
+    double* y_i = u.data() + i * n;
+    std::fill(y_i, y_i + i + 1, 0.0);
+    accumulate_rows(
+        y_i, i, n, [&](std::size_t k) { return w.data() + k * n; },
+        [&](std::size_t k) { return w[k * n + i]; },
+        [&](std::size_t) { return i + 1; });
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) u[i * n + j] = u[j * n + i];
+  }
+
+  // 4. Stream the extremes in the row-major order, and with the strict >,
+  //    of hitting_extremes(const DenseMatrix&), so ties resolve alike.
+  HittingExtremes ext;
+  ext.h_min = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* y_i = u.data() + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const double z_ij = y_i[j] * s[j] / s[i];
+      const double h = (u[j * n + j] - z_ij) / pi[j];
+      if (h > ext.h_max) {
+        ext.h_max = h;
+        ext.argmax_from = static_cast<Vertex>(i);
+        ext.argmax_to = static_cast<Vertex>(j);
+      }
+      ext.h_min = std::min(ext.h_min, h);
+    }
+  }
+  return ext;
 }
 
 double exact_cover_time(const Graph& g, Vertex start) {

@@ -34,8 +34,15 @@ struct HittingExtremes {
   Vertex argmax_to = 0;
 };
 
-/// Max/min hitting times over ordered pairs of distinct vertices.
+/// Max/min hitting times over ordered pairs of distinct vertices; ties go
+/// to the first pair in row-major (from, to) order.
 HittingExtremes hitting_extremes(const DenseMatrix& hitting_matrix);
+
+/// The same extremes without building H: one Cholesky solve of the
+/// symmetrized fundamental-matrix system (the walk is reversible), about
+/// n^3/2 multiply-adds and 2 n^2 doubles. Serial; requires a connected
+/// graph with n >= 2. Agrees with hitting_extremes(hitting_time_matrix(g))
+/// to rounding.
 HittingExtremes hitting_extremes(const Graph& g);
 
 /// Exact expected cover time of a single walk from `start`, by dynamic

@@ -56,6 +56,17 @@ PairVisitProbability min_visit_probability_within(const Graph& g,
   return best;
 }
 
+std::uint64_t markov_visit_horizon(double h_max) {
+  MW_REQUIRE(std::isfinite(h_max) && h_max >= 0.0,
+             "h_max must be finite and non-negative");
+  const double t = 2.0 * h_max;
+  const double nearest = std::round(t);
+  if (std::abs(t - nearest) <= 1e-9 * std::max(1.0, nearest)) {
+    return static_cast<std::uint64_t>(nearest);
+  }
+  return static_cast<std::uint64_t>(std::ceil(t));
+}
+
 double lemma16_cover_probability(double p_c, double p_h, unsigned k,
                                  unsigned ell) {
   MW_REQUIRE(p_c >= 0.0 && p_c <= 1.0, "p_c must be a probability");

@@ -32,6 +32,13 @@ struct PairVisitProbability {
 PairVisitProbability min_visit_probability_within(const Graph& g,
                                                   std::uint64_t t);
 
+/// The Markov horizon T_h for Lemma 16: the smallest integer t >= 2 h_max,
+/// so a walk of t steps visits any vertex with probability >= 1/2. A
+/// dense-solve h_max carries rounding noise around integral values (h_max
+/// = (n-1)^2 on a path), so 2 h_max within 1e-9 relative of an integer
+/// snaps to that integer before the ceiling.
+std::uint64_t markov_visit_horizon(double h_max);
+
 /// Lemma 16's guaranteed k-walk cover probability for total length
 /// T_c/k + ℓ·T_h:  p_c · (1 - k (1 - p_h)^ℓ). Clamped to [0, 1].
 double lemma16_cover_probability(double p_c, double p_h, unsigned k,

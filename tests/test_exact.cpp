@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/families.hpp"
 #include "graph/generators.hpp"
 #include "theory/closed_forms.hpp"
 
@@ -84,6 +87,82 @@ TEST(HittingExtremesTest, StarMinIsLeafToHub) {
   const auto ext = hitting_extremes(make_star(7));
   EXPECT_NEAR(ext.h_min, 1.0, 1e-10);
   EXPECT_NEAR(ext.h_max, 12.0, 1e-8);  // 2n-2
+}
+
+// hitting_extremes(const Graph&) runs a symmetric Cholesky solve; the LU
+// path (hitting_time_matrix + the matrix overload) is its independent
+// reference.
+void expect_matches_lu_reference(const Graph& g) {
+  const HittingExtremes fast = hitting_extremes(g);
+  const DenseMatrix h = hitting_time_matrix(g);
+  const HittingExtremes ref = hitting_extremes(h);
+  EXPECT_NEAR(fast.h_max, ref.h_max, 1e-9 * ref.h_max) << describe(g);
+  EXPECT_NEAR(fast.h_min, ref.h_min, 1e-9 * ref.h_min) << describe(g);
+  // The argmax is a real maximizer even where near-ties let the two
+  // solvers pick different pairs.
+  EXPECT_NEAR(h.at(fast.argmax_from, fast.argmax_to), ref.h_max,
+              1e-9 * ref.h_max)
+      << describe(g);
+}
+
+TEST(SymmetricHittingExtremes, MatchesLuOnTable1Families) {
+  for (GraphFamily family : table1_families()) {
+    expect_matches_lu_reference(make_family_instance(family, 64).graph);
+  }
+}
+
+TEST(SymmetricHittingExtremes, MatchesLuOnIrregularDegrees) {
+  for (const Graph& g : {make_lollipop(30), make_barbell(31), make_star(25),
+                         make_path(2)}) {
+    expect_matches_lu_reference(g);
+  }
+}
+
+TEST(SymmetricHittingExtremes, MatchesLuWithLoopAndParallelEdge) {
+  // A self loop is one arc and a parallel edge counts per arc, in both
+  // solvers alike.
+  GraphBuilder b(5);
+  b.add_edge(0, 1).add_edge(1, 2).add_edge(2, 3).add_edge(3, 4);
+  b.add_edge(1, 2);  // parallel
+  b.add_edge(3, 3);  // loop
+  GraphBuilder::BuildOptions options;
+  options.duplicates = GraphBuilder::DuplicatePolicy::kKeep;
+  options.loops = GraphBuilder::LoopPolicy::kKeep;
+  const Graph g = b.build(options);
+  ASSERT_EQ(g.degree(2), 3u);
+  ASSERT_EQ(g.degree(3), 3u);
+  expect_matches_lu_reference(g);
+}
+
+TEST(SymmetricHittingExtremes, ClosedForms) {
+  const HittingExtremes k2 = hitting_extremes(make_path(2));
+  EXPECT_NEAR(k2.h_max, 1.0, 1e-12);
+  EXPECT_NEAR(k2.h_min, 1.0, 1e-12);
+  for (Vertex n : {Vertex{5}, Vertex{64}, Vertex{200}}) {
+    const double path = static_cast<double>(n - 1) * (n - 1);
+    EXPECT_NEAR(hitting_extremes(make_path(n)).h_max, path, 1e-9 * path);
+    const std::uint64_t cycle = std::uint64_t{n / 2} * ((n + 1) / 2);
+    EXPECT_NEAR(hitting_extremes(make_cycle(n)).h_max,
+                static_cast<double>(cycle), 1e-9 * static_cast<double>(cycle));
+    const HittingExtremes kn = hitting_extremes(make_complete(n));
+    EXPECT_NEAR(kn.h_max, n - 1.0, 1e-9 * n);
+    EXPECT_NEAR(kn.h_min, n - 1.0, 1e-9 * n);
+  }
+}
+
+TEST(SymmetricHittingExtremes, RejectsDisconnectedOrTinyGraphs) {
+  EXPECT_THROW(hitting_extremes(make_path(1)), std::invalid_argument);
+  GraphBuilder b(4);
+  b.add_edge(0, 1).add_edge(2, 3);
+  const Graph g = b.build();
+  try {
+    hitting_extremes(g);
+    FAIL() << "expected a connectivity failure";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("connected graph"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ExactCoverTime, TwoVertices) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "graph/generators.hpp"
 #include "theory/exact.hpp"
@@ -75,6 +76,28 @@ TEST(VisitProbabilityWithin, MarkovBoundAtTwiceHmax) {
     const auto t = static_cast<std::uint64_t>(std::ceil(2.0 * h_max));
     const PairVisitProbability worst = min_visit_probability_within(g, t);
     EXPECT_GE(worst.probability, 0.5) << describe(g);
+  }
+}
+
+TEST(MarkovVisitHorizon, CeilsAndSnapsNearIntegers) {
+  EXPECT_EQ(markov_visit_horizon(0.0), 0u);
+  EXPECT_EQ(markov_visit_horizon(10.2), 21u);
+  EXPECT_EQ(markov_visit_horizon(10.25), 21u);
+  EXPECT_EQ(markov_visit_horizon(10.0), 20u);
+  // Solver noise around an integral 2 h_max neither adds nor drops a step.
+  EXPECT_EQ(markov_visit_horizon(159201.0000004), 318402u);
+  EXPECT_EQ(markov_visit_horizon(159200.9999995), 318402u);
+  EXPECT_THROW(markov_visit_horizon(-1.0), std::invalid_argument);
+}
+
+TEST(MarkovVisitHorizon, PathIsTwiceSquaredDiameter) {
+  // h_max = (n-1)^2 on a path, so T_h = 2 (n-1)^2 exactly, whichever way
+  // the solver's rounding falls.
+  for (Vertex n : {Vertex{2}, Vertex{17}, Vertex{400}}) {
+    const std::uint64_t expected = 2ULL * (n - 1) * (n - 1);
+    EXPECT_EQ(markov_visit_horizon(hitting_extremes(make_path(n)).h_max),
+              expected)
+        << "n=" << n;
   }
 }
 

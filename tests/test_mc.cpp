@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <vector>
 
 namespace manywalks {
 namespace {
@@ -174,6 +175,41 @@ TEST(MonteCarloRunner, GeometricBatchesKeepIndexOrderedReduction) {
   for (std::uint64_t i = 0; i < 200; ++i) replay.add(trial(i, unused).value);
   EXPECT_DOUBLE_EQ(serial.ci.mean, replay.mean());
   EXPECT_DOUBLE_EQ(serial.stats.variance(), replay.variance());
+}
+
+TEST(MonteCarloRunner, AdaptiveStopIsIndependentOfPoolSize) {
+  // Batch boundaries are where the CI stop is checked, so they decide the
+  // trial count an adaptive estimate ends at. With a small min_trials the
+  // geometric schedule's floor sets every later boundary; it must not
+  // depend on how many workers the pool has.
+  const auto trial = [](std::uint64_t, Rng& rng) {
+    return TrialOutcome{1.0 + rng.uniform01(), false};
+  };
+  McOptions options;
+  options.min_trials = 2;
+  options.max_trials = 10000;
+  options.target_rel_half_width = 0.05;
+  options.seed = 7;
+
+  std::vector<McResult> results;
+  for (unsigned threads : {0u, 1u, 3u, 4u, 7u}) {  // 0: hardware default
+    ThreadPool pool(threads);
+    results.push_back(run_monte_carlo(trial, options, &pool));
+  }
+  const McResult& ref = results.front();
+  EXPECT_TRUE(ref.target_met);
+  EXPECT_LT(ref.stats.count(), options.max_trials);
+  for (const McResult& r : results) {
+    EXPECT_EQ(r.stats.count(), ref.stats.count());
+    EXPECT_EQ(r.ci.count, ref.ci.count);
+    EXPECT_EQ(r.ci.mean, ref.ci.mean);
+    EXPECT_EQ(r.ci.half_width, ref.ci.half_width);
+    EXPECT_EQ(r.stats.variance(), ref.stats.variance());
+    EXPECT_EQ(r.stats.min(), ref.stats.min());
+    EXPECT_EQ(r.stats.max(), ref.stats.max());
+    EXPECT_EQ(r.target_met, ref.target_met);
+    EXPECT_EQ(r.censored, ref.censored);
+  }
 }
 
 TEST(MonteCarloRunner, MeanOfUniformIsHalf) {
