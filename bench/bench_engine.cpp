@@ -5,14 +5,16 @@
 // harness's feasible scales (steps/second on a laptop).
 //
 // The binary has its own main: before running benchmarks it
-//   1. verifies that the batched engine samples the SAME cover-time
-//      distribution, trial by trial, as the seed per-call path under
-//      make_trial_rng streams (legacy mode's bit contract);
-//   2. measures lane-vs-legacy steps/s per family x k and writes the
-//      machine-readable BENCH_4.json perf artifact (--bench4_out=PATH,
-//      schema "manywalks-bench4-v1", documented in docs/ARCHITECTURE.md);
-//      with --lane_guard it exits nonzero if lane mode regresses below
-//      legacy on any family (the CI perf-smoke anti-regression gate);
+//   1. verifies that the BENCH_4 baseline (SharedStreamWalk, the scalar
+//      shared-stream round loop) samples the SAME cover times, trial by
+//      trial and draw by draw, as the seed per-call path under
+//      make_trial_rng streams — so the baseline is the real walk;
+//   2. measures the lane engine against that baseline in steps/s per
+//      family x k and writes the machine-readable BENCH_4.json perf
+//      artifact (--bench4_out=PATH, schema "manywalks-bench4-v1",
+//      documented in docs/ARCHITECTURE.md); with --lane_guard it exits
+//      nonzero if the lane engine regresses below the baseline on any
+//      family (the CI perf-smoke anti-regression gate);
 //   3. measures the observability layer's cost (BENCH_obs.json, schema
 //      "manywalks-obs-v1"): lane steps/s with a MetricsRegistry installed
 //      vs observability off, counting contract checked exactly; with
@@ -26,7 +28,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,6 +91,84 @@ CoverSample seed_path_cover(const Graph& g, std::span<const Vertex> starts,
   sample.covered = false;
   return sample;
 }
+
+// ---------------------------------------------------------------------------
+// The BENCH_4 baseline: the scalar shared-stream round loop over a
+// substrate. All k tokens consume ONE caller stream token by token in
+// walker.hpp order — one uniform_below(degree) per step — committing into
+// a local word bitmap, with the substrate, token array and visited count
+// held in locals across the loop. The stream dependency serializes the
+// round: token i+1's draw waits on token i's rng.next(), which is what the
+// lane engine's per-token streams remove.
+// ---------------------------------------------------------------------------
+template <class S>
+class SharedStreamWalk {
+ public:
+  explicit SharedStreamWalk(const S& substrate)
+      : substrate_(substrate),
+        words_((static_cast<std::size_t>(substrate.num_vertices()) + 63) / 64) {}
+
+  void reset(std::span<const Vertex> starts) {
+    std::fill(words_.begin(), words_.end(), 0);
+    visited_ = 0;
+    tokens_.assign(starts.begin(), starts.end());
+    for (Vertex s : tokens_) mark(s, words_.data(), visited_);
+  }
+
+  /// Rounds until `target` distinct vertices are visited (never, for a
+  /// target above n) or `cap` rounds have run.
+  CoverSample run(Vertex target, std::uint64_t cap, Rng& rng) {
+    CoverSample sample;
+    if (visited_ >= target) {
+      sample.covered = true;
+      return sample;
+    }
+    const S substrate = substrate_;
+    Vertex* const toks = tokens_.data();
+    std::uint64_t* const words = words_.data();
+    const std::size_t k = tokens_.size();
+    Vertex visited = visited_;
+    sample.steps = cap;
+    std::uint64_t t = 0;
+    while (t < cap) {
+      ++t;
+      for (std::size_t i = 0; i < k; ++i) {
+        const Vertex u = toks[i];
+        const Vertex v =
+            substrate.neighbor(u, rng.uniform_below(substrate.degree(u)));
+        toks[i] = v;
+        mark(v, words, visited);
+      }
+      if (visited >= target) {
+        sample.steps = t;
+        sample.covered = true;
+        break;
+      }
+    }
+    visited_ = visited;
+    return sample;
+  }
+
+  /// `rounds` rounds with no coverage stop (the BENCH_4 timing loop).
+  void run_for_steps(std::uint64_t rounds, Rng& rng) {
+    run(substrate_.num_vertices() + 1, rounds, rng);
+  }
+
+ private:
+  static void mark(Vertex v, std::uint64_t* words, Vertex& visited) {
+    std::uint64_t& word = words[v >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++visited;
+    }
+  }
+
+  S substrate_;
+  std::vector<std::uint64_t> words_;
+  std::vector<Vertex> tokens_;
+  Vertex visited_ = 0;
+};
 
 void BM_StepThroughput(benchmark::State& state, const Graph& g) {
   Rng rng(1);
@@ -234,8 +316,10 @@ void BM_McThreadScaling(benchmark::State& state) {
 BENCHMARK(BM_McThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // ---------------------------------------------------------------------------
-// Pre-benchmark check: both paths must sample identical cover-time
-// distributions under the deterministic make_trial_rng(seed, trial) streams.
+// Pre-benchmark check: the BENCH_4 baseline must reproduce the seed
+// per-call path step for step and draw for draw under the deterministic
+// make_trial_rng(seed, trial) streams, so the lane gate's denominator is
+// proven to be the real walk.
 // ---------------------------------------------------------------------------
 bool verify_identical_samples() {
   struct Instance {
@@ -255,20 +339,21 @@ bool verify_identical_samples() {
   for (const auto& [name, g] : instances) {
     for (unsigned k : {1u, 8u}) {
       const std::vector<Vertex> starts(k, 0);
-      WalkEngine engine(g);
+      SharedStreamWalk<CsrSubstrate> baseline{CsrSubstrate(g)};
       for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
         Rng seed_rng = make_trial_rng(kSeed, trial);
-        Rng engine_rng = make_trial_rng(kSeed, trial);
+        Rng baseline_rng = make_trial_rng(kSeed, trial);
         const CoverSample a =
             seed_path_cover(g, starts, g.num_vertices(), seed_rng);
-        engine.reset(starts);
-        const CoverSample b =
-            engine.run_until_visited(g.num_vertices(), engine_rng);
+        baseline.reset(starts);
+        const CoverSample b = baseline.run(
+            g.num_vertices(), std::numeric_limits<std::uint64_t>::max(),
+            baseline_rng);
         if (a.steps != b.steps || a.covered != b.covered ||
-            seed_rng.state() != engine_rng.state()) {
+            seed_rng.state() != baseline_rng.state()) {
           std::fprintf(stderr,
                        "MISMATCH %s k=%u trial=%llu: seed-path %llu vs "
-                       "engine %llu\n",
+                       "shared-stream baseline %llu\n",
                        name, k, static_cast<unsigned long long>(trial),
                        static_cast<unsigned long long>(a.steps),
                        static_cast<unsigned long long>(b.steps));
@@ -279,7 +364,8 @@ bool verify_identical_samples() {
   }
   if (ok) {
     std::printf(
-        "verified: seed-path and WalkEngine cover-time samples identical "
+        "verified: seed-path and shared-stream baseline cover-time samples "
+        "identical "
         "(3 instances x k in {1,8} x %llu trials)\n",
         static_cast<unsigned long long>(kTrials));
   }
@@ -289,7 +375,8 @@ bool verify_identical_samples() {
 // ---------------------------------------------------------------------------
 // Paired steps/second comparison: alternates seed-path and engine trials so
 // machine-load drift hits both sides equally, and feeds both sides the same
-// per-trial RNG streams so they do byte-identical walk work.
+// per-trial RNG streams (the engine derives its lanes from them, so the two
+// sides sample the same cover-time distribution, not the same walks).
 // ---------------------------------------------------------------------------
 void report_paired_throughput() {
   struct Instance {
@@ -349,10 +436,12 @@ void report_paired_throughput() {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_4: lane-vs-legacy steps/s per family x k, alternating interleaved
-// reps so machine-load drift hits both modes equally. Emitted as the
-// machine-readable BENCH_4.json artifact ("manywalks-bench4-v1"); the
-// optional guard is the CI anti-regression gate for the lane kernel.
+// BENCH_4: lane engine vs the SharedStreamWalk baseline, steps/s per
+// family x k, alternating interleaved reps so machine-load drift hits both
+// sides equally. Emitted as the machine-readable BENCH_4.json artifact
+// ("manywalks-bench4-v1"; the baseline keeps its historical "legacy" field
+// names); the optional guard is the CI anti-regression gate for the lane
+// kernel.
 // ---------------------------------------------------------------------------
 
 struct Bench4Row {
@@ -365,24 +454,27 @@ struct Bench4Row {
   double ratio = 0.0;
 };
 
-/// One timed run_for_steps burst; returns seconds.
-template <class Engine>
-double timed_rounds(Engine& engine, std::span<const Vertex> starts,
-                    std::uint64_t rounds, RngMode mode, std::uint64_t seed) {
+/// One timed run_for_steps burst of the engine or the baseline; returns
+/// seconds.
+template <class Walk>
+double timed_rounds(Walk& walk, std::span<const Vertex> starts,
+                    std::uint64_t rounds, std::uint64_t seed) {
   using clock = std::chrono::steady_clock;
-  engine.reset(starts);
+  walk.reset(starts);
   Rng rng(seed);
   const auto t0 = clock::now();
-  engine.run_for_steps(rounds, rng, 0.0, nullptr, mode);
+  walk.run_for_steps(rounds, rng);
   const auto t1 = clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// Measures both modes with kReps alternating bursts of `rounds` rounds.
-template <class Engine>
+/// Measures the engine and the baseline over the same substrate with kReps
+/// alternating bursts of `rounds` rounds.
+template <class S>
 Bench4Row measure_lane_vs_legacy(const char* family, const char* substrate,
-                                 std::uint64_t n, Engine& engine, unsigned k,
-                                 std::uint64_t steps_budget) {
+                                 std::uint64_t n, WalkEngineT<S>& engine,
+                                 unsigned k, std::uint64_t steps_budget) {
+  SharedStreamWalk<S> legacy(engine.substrate());
   const std::vector<Vertex> starts(k, 0);
   const std::uint64_t rounds = std::max<std::uint64_t>(steps_budget / k, 64);
   constexpr int kReps = 4;
@@ -390,16 +482,14 @@ Bench4Row measure_lane_vs_legacy(const char* family, const char* substrate,
   // lane vectors. (Each timed rep still pays its own reset() + lane
   // derivation — that IS part of the per-trial workload; at <= 256 lanes
   // vs millions of steps it is noise either way.)
-  timed_rounds(engine, starts, std::max<std::uint64_t>(rounds / 8, 1),
-               RngMode::kSharedLegacy, 1);
-  timed_rounds(engine, starts, std::max<std::uint64_t>(rounds / 8, 1),
-               RngMode::kLane, 1);
+  timed_rounds(legacy, starts, std::max<std::uint64_t>(rounds / 8, 1), 1);
+  timed_rounds(engine, starts, std::max<std::uint64_t>(rounds / 8, 1), 1);
   double legacy_s = 0.0;
   double lane_s = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
-    legacy_s += timed_rounds(engine, starts, rounds, RngMode::kSharedLegacy,
+    legacy_s += timed_rounds(legacy, starts, rounds,
                              100 + static_cast<std::uint64_t>(rep));
-    lane_s += timed_rounds(engine, starts, rounds, RngMode::kLane,
+    lane_s += timed_rounds(engine, starts, rounds,
                            100 + static_cast<std::uint64_t>(rep));
   }
   const double steps =
@@ -418,7 +508,8 @@ Bench4Row measure_lane_vs_legacy(const char* family, const char* substrate,
 std::vector<Bench4Row> run_bench4() {
   std::vector<Bench4Row> rows;
   const unsigned ks[] = {1, 8, 64, 256};
-  std::printf("lane vs legacy token-steps/s (run_for_steps, simple walk):\n");
+  std::printf("lane engine vs shared-stream baseline token-steps/s "
+              "(run_for_steps, simple walk):\n");
   std::printf("%-19s %4s %15s %15s %7s\n", "family", "k", "legacy", "lane",
               "ratio");
   auto push = [&rows](Bench4Row row) {
@@ -569,7 +660,6 @@ std::vector<ScaleRow> run_scale() {
     row.threads = threads;
     std::unique_ptr<ThreadPool> pool;
     CoverOptions opt;
-    opt.rng_mode = RngMode::kLane;
     if (threads > 1) {
       pool = std::make_unique<ThreadPool>(threads - 1);
       row.lane_shards = 16;
@@ -654,7 +744,7 @@ bool scale_results_pass(const std::vector<ScaleRow>& rows, bool guard) {
 }
 
 // ---------------------------------------------------------------------------
-// BENCH_obs: cost of the observability layer (ISSUE 10). Lane-mode
+// BENCH_obs: cost of the observability layer. Lane-engine
 // run_for_steps bursts alternate between observer OFF (the null-pointer
 // fast path) and observer ON with a live MetricsRegistry — the exact
 // configuration `--metrics` installs. The counting contract is checked
@@ -690,19 +780,19 @@ ObsRow measure_obs_overhead(const char* family, const char* substrate,
   obs::RunObserver on{&registry, nullptr, nullptr};
   // Warm both sides (pages scratch, seeds lanes, registers this thread's
   // counter scratch) outside the timing.
-  timed_rounds(engine, starts, warm_rounds, RngMode::kLane, 1);
+  timed_rounds(engine, starts, warm_rounds, 1);
   {
     obs::ScopedObserver scoped(&on);
-    timed_rounds(engine, starts, warm_rounds, RngMode::kLane, 1);
+    timed_rounds(engine, starts, warm_rounds, 1);
   }
   expected_on_steps += warm_rounds * k;
   double off_s = 0.0;
   double on_s = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
     const std::uint64_t seed = 500 + static_cast<std::uint64_t>(rep);
-    off_s += timed_rounds(engine, starts, rounds, RngMode::kLane, seed);
+    off_s += timed_rounds(engine, starts, rounds, seed);
     obs::ScopedObserver scoped(&on);
-    on_s += timed_rounds(engine, starts, rounds, RngMode::kLane, seed);
+    on_s += timed_rounds(engine, starts, rounds, seed);
   }
   expected_on_steps += rounds * k * kReps;
   const double steps =

@@ -1,7 +1,7 @@
 // Shared command-line driver for the registered experiments.
 //
-// `run_experiment_main` is the whole main() of every legacy fig_*/table1_*
-// shim binary and the backend of `manywalks run <exp>`: it parses the
+// `run_experiment_main` is the backend of `manywalks run <exp>`: it parses
+// the
 // shared flags (--full/--n/--trials/--seed/--threads/--format/--out plus
 // the experiment's declared extras), resolves presets, runs the experiment
 // on a shared ThreadPool, and emits the result through the selected sink.

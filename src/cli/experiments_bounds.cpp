@@ -62,7 +62,7 @@ ExperimentResult run_matthews_bounds(const ExperimentParams& params,
     McOptions local = mc;
     local.seed = mix64(seed ^ (0x1337 + static_cast<std::uint64_t>(family)));
     const auto curve = estimate_speedup_curve(instance.graph, instance.start,
-                                              ks, local, lane_cover_options(), &pool);
+                                              ks, local, CoverOptions{}, &pool);
     const double cover = curve.front().single.ci.mean;
     for (const SpeedupEstimate& p : curve) {
       const double rigorous = baby_matthews_bound(h_max, nn, p.k);
@@ -173,7 +173,7 @@ double measure_cover_probability(const Graph& g, Vertex start, unsigned k,
   mc.min_trials = trials;
   mc.max_trials = trials;
   mc.seed = seed;
-  CoverOptions cover = lane_cover_options();
+  CoverOptions cover;
   cover.step_cap = length;
   const McResult r = run_monte_carlo(
       [&g, start, k, &cover](std::uint64_t, Rng& rng) {
@@ -202,7 +202,7 @@ ExperimentResult run_lemma16(const ExperimentParams& params,
   mc.max_trials = 200;
   mc.seed = mix64(seed ^ 0xcafeULL);
   const McResult cover_est =
-      estimate_cover_time(g, instance.start, mc, lane_cover_options(), &pool);
+      estimate_cover_time(g, instance.start, mc, CoverOptions{}, &pool);
   const auto t_c = static_cast<std::uint64_t>(2.0 * cover_est.ci.mean);
   const double p_c = measure_cover_probability(
       g, instance.start, 1, t_c, target_trials, mix64(seed ^ 0x1ULL), &pool);
@@ -301,7 +301,7 @@ ExperimentResult run_aldous_concentration(const ExperimentParams& params,
       const auto values = collect_cover_samples(
           instance.graph, instance.start, 1, samples,
           mix64(seed ^ (n * 31 + static_cast<std::uint64_t>(family))),
-          lane_cover_options(), &pool);
+          CoverOptions{}, &pool);
       RunningStats stats;
       for (double v : values) stats.add(v);
       const auto qs = quantiles(values, probs);

@@ -98,7 +98,7 @@ ExperimentResult run_giant_cycle(const ExperimentParams& params,
   // ~d²/2 expected rounds; 64x headroom keeps censoring out of healthy
   // runs, and a pathological draw that does hit the cap is now flagged in
   // every sink rather than silently averaged.
-  CoverOptions cover = lane_cover_options();
+  CoverOptions cover;
   cover.step_cap = saturating_cap(
       64.0 * static_cast<double>(target) * static_cast<double>(target));
   cover.lane_shards = params.lane_shards;
@@ -153,7 +153,7 @@ ExperimentResult run_giant_torus(const ExperimentParams& params,
   // A single 2-d torus walk visits ~πt/ln t distinct vertices in t rounds,
   // so d distinct take ~(d/π)·ln d rounds; 64x headroom as on the cycle.
   const double d = static_cast<double>(target);
-  CoverOptions cover = lane_cover_options();
+  CoverOptions cover;
   cover.step_cap = saturating_cap(64.0 * d * std::max(std::log(d), 1.0));
   cover.lane_shards = params.lane_shards;
 

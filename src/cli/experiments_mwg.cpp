@@ -203,7 +203,7 @@ ExperimentResult run_mwg_speedup_blocked(const ExperimentParams& params,
   BlockedRunTotals totals;
   const std::vector<SpeedupEstimate> curve =
       estimate_speedup_curve_to_target_blocked(engine, start, target, ks, mc,
-                                               lane_cover_options(), &totals);
+                                               CoverOptions{}, &totals);
 
   ExperimentResult result;
   push_common_params(result, seed, params.full,
@@ -239,7 +239,7 @@ ExperimentResult run_mwg_starts_blocked(const ExperimentParams& params,
   // estimate_cover_to_target_blocked); the raw run_monte_carlo calls
   // below pin the same mode so all three placements reduce identically
   // to the in-core path.
-  const CoverOptions cover_run = lane_cover_options();
+  const CoverOptions cover_run{};
   McOptions mc = preset_mc(trials);
   mc.parallelism = McParallelism::kLanes;
 
@@ -303,7 +303,7 @@ ExperimentResult run_mwg_speedup(const ExperimentParams& params,
   if (params.block_walk) return run_mwg_speedup_blocked(params, pool);
   const MappedGraph mapped = open_mapped("mwg-speedup", params);
   return run_mwg_speedup_on_substrate(mapped.substrate(), params.graph,
-                                      params, pool, lane_cover_options());
+                                      params, pool, CoverOptions{});
 }
 
 ExperimentResult run_mwg_starts(const ExperimentParams& params,
@@ -313,7 +313,7 @@ ExperimentResult run_mwg_starts(const ExperimentParams& params,
   if (params.block_walk) return run_mwg_starts_blocked(params, pool);
   const MappedGraph mapped = open_mapped("mwg-starts", params);
   return run_mwg_starts_on_substrate(mapped.substrate(), params.graph, params,
-                                     pool, lane_cover_options());
+                                     pool, CoverOptions{});
 }
 
 }  // namespace

@@ -19,8 +19,8 @@ namespace manywalks::cli {
 
 /// The mwg-speedup body: S^k curve (optionally to a partial-cover
 /// --target) from --start on an already-bound substrate. `source` labels
-/// the graph in the output; `cover` pins the rng mode (the registered
-/// runner passes lane_cover_options()).
+/// the graph in the output; `cover` carries the walk options (the
+/// registered runner passes CoverOptions{}).
 ExperimentResult run_mwg_speedup_on_substrate(const CsrSubstrate& substrate,
                                               const std::string& source,
                                               const ExperimentParams& params,

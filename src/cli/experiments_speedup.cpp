@@ -347,7 +347,7 @@ ExperimentResult run_conjectures(const ExperimentParams& params,
     McOptions local = mc;
     local.seed = mix64(seed ^ (0xc0371ULL + static_cast<unsigned>(family)));
     const auto curve = estimate_speedup_curve(instance.graph, instance.start,
-                                              ks, local, lane_cover_options(), &pool);
+                                              ks, local, CoverOptions{}, &pool);
     table.begin_row();
     table.text(instance.name);
     double min_log_ratio = 1e300;

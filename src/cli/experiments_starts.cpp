@@ -49,11 +49,11 @@ ExperimentResult run_stationary_start(const ExperimentParams& params,
       McOptions same = mc;
       same.seed = mix64(seed ^ (0x5a3eULL + k));
       const McResult fixed_start = estimate_k_cover_time(
-          instance.graph, instance.start, k, same, lane_cover_options(), &pool);
+          instance.graph, instance.start, k, same, CoverOptions{}, &pool);
       McOptions stat = mc;
       stat.seed = mix64(seed ^ (0x57a7ULL + k));
       const McResult stationary = estimate_stationary_start_cover(
-          instance.graph, k, stat, lane_cover_options(), &pool);
+          instance.graph, k, stat, CoverOptions{}, &pool);
       table.begin_row();
       table.text(instance.name);
       table.count(k);
@@ -126,12 +126,12 @@ ExperimentResult run_start_placement(const ExperimentParams& params,
     McOptions o1 = mc;
     o1.seed = mix64(seed ^ 0xaaa1ULL);
     const McResult same =
-        estimate_k_cover_time(g, instance.start, k, o1, lane_cover_options(), &pool);
+        estimate_k_cover_time(g, instance.start, k, o1, CoverOptions{}, &pool);
 
     McOptions o2 = mc;
     o2.seed = mix64(seed ^ 0xaaa2ULL);
     const McResult stationary =
-        estimate_stationary_start_cover(g, k, o2, lane_cover_options(), &pool);
+        estimate_stationary_start_cover(g, k, o2, CoverOptions{}, &pool);
 
     McOptions o3 = mc;
     o3.seed = mix64(seed ^ 0xaaa3ULL);
@@ -141,7 +141,7 @@ ExperimentResult run_start_placement(const ExperimentParams& params,
     o4.seed = mix64(seed ^ 0xaaa4ULL);
     const std::vector<Vertex> spread = spread_starts(g, k, instance.start);
     const McResult spread_result =
-        estimate_multi_cover_time(g, spread, o4, lane_cover_options(), &pool);
+        estimate_multi_cover_time(g, spread, o4, CoverOptions{}, &pool);
 
     table.begin_row();
     table.text(instance.name);

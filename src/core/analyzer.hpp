@@ -54,7 +54,7 @@ struct GraphProfile {
 
 struct ProfileOptions {
   McOptions mc;
-  CoverOptions cover = lane_cover_options();
+  CoverOptions cover;
   std::uint64_t hmax_exact_limit = 1200;
   std::uint64_t mixing_cap = 1'000'000;
 };

@@ -130,10 +130,7 @@ TextTable to_text_table(const ResultTable& table);
 struct ExperimentOptions {
   std::uint64_t seed = 7;
   McOptions mc;
-  /// Lane sampling mode by default (determinism contract v2) — every
-  /// registered experiment runs the pipelined kernel unless a caller pins
-  /// RngMode::kSharedLegacy explicitly.
-  CoverOptions cover = lane_cover_options();
+  CoverOptions cover;
   std::uint64_t hmax_exact_limit = 1200;
   std::uint64_t mixing_cap = 400'000;
   unsigned threads = 0;  ///< workers for the shared pool (0 = hardware)

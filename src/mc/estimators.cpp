@@ -194,7 +194,7 @@ McResult estimate_cover_to_target_blocked(BlockWalkEngine& engine,
   // bit-identical to the in-core path.
   McOptions mc_serial = mc;
   mc_serial.parallelism = McParallelism::kLanes;
-  CoverOptions cover_run = resolve_sampler_mode(cover);
+  CoverOptions cover_run = cover;
   cover_run.lane_shards = 0;
   cover_run.shard_pool = nullptr;
   return run_monte_carlo(

@@ -1,14 +1,12 @@
 // Monte-Carlo estimators for the paper's quantities: C_i, C^k_i, h(u,v),
 // and the speed-up S^k = C / C^k with propagated uncertainty.
 //
-// RNG mode: every cover estimator funnels through the cover.hpp samplers,
-// which resolve an unspecified CoverOptions::rng_mode to kLane
-// (determinism contract v2) — so estimates are sampled by the pipelined
-// lane kernel unless the caller pins RngMode::kSharedLegacy. Either way
-// trial i under master seed s sees make_trial_rng(s, i) and results
-// reduce in trial order, so estimates stay bit-identical across thread
-// counts; lane mode additionally derives per-token streams from one draw
-// of each trial stream.
+// RNG streams: every cover estimator funnels through the cover.hpp
+// samplers and so the pipelined lane kernel (determinism contract v5).
+// Trial i under master seed s sees make_trial_rng(s, i), the engine
+// derives its per-token streams from one draw of that trial stream, and
+// results reduce in trial order, so estimates stay bit-identical across
+// thread counts.
 #pragma once
 
 #include <cstdint>

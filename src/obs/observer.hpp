@@ -16,7 +16,7 @@
 // Inertness rule (pinned by goldens in tests/test_obs.cpp): instrumentation
 // may count, time, and print, but may never draw RNG, never branch on
 // timing in a way that changes a walk/merge/block schedule, and never
-// reorder contract v2-v4 work.
+// reorder contract v3-v5 work.
 #pragma once
 
 #include <cstdint>

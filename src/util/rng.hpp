@@ -10,10 +10,10 @@
 //   * Xoshiro256PlusPlus — the main generator (Blackman & Vigna), with
 //     jump() / long_jump() for 2^128 / 2^192 step stream separation.
 //   * Lemire's nearly-divisionless bounded sampling (uniform_below, plus
-//     the full-word uniform_below_wide used by lane-mode walk kernels).
+//     the full-word uniform_below_wide used by the lane walk kernels).
 //   * LaneRngs — a bank of per-lane streams derived from one master seed,
-//     the basis of the walk engine's lane sampling mode (determinism
-//     contract v2, docs/ARCHITECTURE.md).
+//     the basis of the walk engine's sampling (determinism contract v5,
+//     docs/ARCHITECTURE.md).
 //
 // This header is the only place allowed to construct raw generators: the
 // manywalks-raw-rng lint rule (tools/lint/manywalks_lint.py) rejects
@@ -111,10 +111,11 @@ class Xoshiro256PlusPlus {
   /// method: one multiply in the common case, unbiased.
   ///
   /// Deliberately consumes only the LOW 32 bits of each 64-bit draw: this
-  /// is the draw the shared_legacy walk streams are pinned to (golden tests
-  /// in tests/test_lane_rng.cpp), so its mapping can never change. New code
-  /// that is free to pick its own stream should prefer uniform_below_wide,
-  /// whose rejection re-draws are ~2^32x rarer at large bounds.
+  /// is the per-step draw of the walker.hpp samplers (hitting times), of
+  /// graph generation and of the analyzer's probes, whose streams existing
+  /// results are pinned to, so its mapping can never change. New code that
+  /// is free to pick its own stream should prefer uniform_below_wide, whose
+  /// rejection re-draws are ~2^32x rarer at large bounds.
   std::uint32_t uniform_below(std::uint32_t bound) noexcept {
     std::uint64_t x = next() & 0xffffffffULL;
     std::uint64_t m = x * bound;
@@ -137,8 +138,7 @@ class Xoshiro256PlusPlus {
   /// sequence is identical across implementations). Rejection probability
   /// drops from (2^32 mod bound)/2^32 — ~2.2% at bound = 10^8 — to
   /// bound/2^64, i.e. essentially never. This is the bounded draw of the
-  /// lane-mode walk kernel (and of any stream with no legacy bit-compat
-  /// obligation).
+  /// lane walk kernel (and of any stream with no older mapping to keep).
   std::uint32_t uniform_below_wide(std::uint32_t bound) noexcept {
 #if defined(__SIZEOF_INT128__)
     __extension__ using u128 = unsigned __int128;
@@ -227,10 +227,9 @@ inline Rng make_trial_rng(std::uint64_t master_seed, std::uint64_t index) noexce
   return Rng(mix64(master_seed ^ (index * 0x9e3779b97f4a7c15ULL + 0x7f4a7c15ULL)));
 }
 
-/// Derives the reproducible per-lane generator of the walk engine's lane
-/// sampling mode: lane `lane` under lane master `master` always sees the
-/// same stream, independent of thread count and scheduling (determinism
-/// contract v2). Same mixing shape as make_trial_rng but with a distinct
+/// Derives the reproducible per-lane generator of the walk engine: lane
+/// `lane` under lane master `master` always sees the same stream,
+/// independent of thread count and scheduling (determinism contract v5). Same mixing shape as make_trial_rng but with a distinct
 /// additive salt, so a lane stream can never alias a trial stream derived
 /// from the same 64-bit value.
 inline Rng make_lane_rng(std::uint64_t master, std::uint64_t lane) noexcept {
@@ -266,12 +265,12 @@ class LaneRngs {
   std::vector<Rng> lanes_;
 };
 
-/// Lane-mode neighbor-index draw: one masked word for power-of-two degrees,
+/// Lane neighbor-index draw: one masked word for power-of-two degrees,
 /// Lemire's full-word path otherwise. A pure function of (rng, degree) — so
 /// every substrate representation of the same graph consumes identical
-/// draws, and lane mode preserves the CSR-vs-implicit bit-identity of the
-/// CSR-ordered families exactly like the legacy stream does. (xoshiro256++
-/// low bits are full quality, unlike the + variant, so the mask is sound.)
+/// draws, which is what keeps the CSR and implicit engines of the
+/// CSR-ordered families bit-identical. (xoshiro256++ low bits are full
+/// quality, unlike the + variant, so the mask is sound.)
 inline std::uint32_t lane_neighbor_index(Rng& rng,
                                          std::uint32_t degree) noexcept {
   if (std::has_single_bit(degree)) {

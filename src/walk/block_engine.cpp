@@ -47,10 +47,6 @@ CoverSample BlockWalkEngine::run_until_visited(Vertex target, Rng& rng,
                        << graph_->num_vertices());
   MW_REQUIRE(options.laziness >= 0.0 && options.laziness < 1.0,
              "laziness must be in [0,1)");
-  MW_REQUIRE(options.rng_mode != RngMode::kSharedLegacy,
-             "block-scheduled walking needs per-lane RNG streams: the "
-             "shared legacy stream draws in token order, which a block "
-             "schedule reorders");
   CoverSample sample;
   if (tracker_.num_visited() >= target) {
     sample.covered = true;

@@ -16,7 +16,7 @@
 // (graph, k, seed, laziness, step_cap). The memory budget shapes ONLY
 // which extents stay cached, never what is executed when, so runs are
 // bit-identical at every budget; and because each lane's trajectory is a
-// pure function of its own RNG stream (contract v2) and visited-set
+// pure function of its own RNG stream (contract v5) and visited-set
 // updates commute, the results are bit-identical to the IN-CORE lane
 // engine for the same seed:
 //
@@ -32,8 +32,9 @@
 //     lockstep end state, and coverage is monotone in rounds.
 //
 // The engine is serial by design (the workload is I/O-bound, not
-// CPU-bound); kSharedLegacy rng_mode is rejected — a shared draw stream
-// is order-dependent and cannot be block-scheduled.
+// CPU-bound). Block scheduling reorders token steps, which only per-lane
+// streams survive: a stream shared by all tokens could not be scheduled
+// this way.
 #pragma once
 
 #include <cstdint>
@@ -75,13 +76,13 @@ class BlockWalkEngine {
   void reset(std::span<const Vertex> starts);
 
   /// Same contract (and same results, bit for bit) as the in-core lane
-  /// engine's run_until_visited. options.rng_mode must be kDefault or
-  /// kLane; lane_shards/shard_pool are ignored (serial engine).
+  /// engine's run_until_visited. lane_shards/shard_pool are ignored
+  /// (serial engine).
   CoverSample run_until_visited(Vertex target, Rng& rng,
                                 const CoverOptions& options = {});
 
   /// Same contract (and same end state, bit for bit) as the in-core lane
-  /// engine's run_for_steps in kLane mode. Chunked calls are equivalent
+  /// engine's run_for_steps. Chunked calls are equivalent
   /// to one combined call.
   void run_for_steps(std::uint64_t rounds, Rng& rng, double laziness = 0.0);
 

@@ -9,10 +9,8 @@
 // lower-order term and the conventional definition matches the closed forms
 // we test against, e.g. C(cycle) = n(n-1)/2.)
 //
-// RNG mode: every sampler here resolves an unspecified rng_mode to kLane
-// (resolve_sampler_mode — the pipelined per-token-stream kernel of
-// determinism contract v2). Pass RngMode::kSharedLegacy explicitly to
-// reproduce the pre-lane shared-stream samples bit for bit.
+// Every sampler here runs the engine's per-token lane streams (determinism
+// contract v5).
 #pragma once
 
 #include <cstdint>
@@ -101,9 +99,7 @@ WalkEngineT<S>& pooled_substrate_engine(const S& substrate) {
 /// One k-walk trial run until `target` distinct vertices are visited or
 /// the cap is reached (the primitive the fixed-target giant experiments
 /// sample: full cover at n = 10^8 is out of reach, partial cover is not).
-/// This is the funnel every cover sampler delegates through, and the
-/// sampling layer's mode-resolution point: an unspecified rng_mode becomes
-/// kLane here.
+/// This is the funnel every cover sampler delegates through.
 template <Substrate S>
 CoverSample sample_cover_to_target(const S& substrate,
                                    std::span<const Vertex> starts,
@@ -111,7 +107,7 @@ CoverSample sample_cover_to_target(const S& substrate,
                                    const CoverOptions& options = {}) {
   WalkEngineT<S>& engine = pooled_substrate_engine(substrate);
   engine.reset(starts);
-  return engine.run_until_visited(target, rng, resolve_sampler_mode(options));
+  return engine.run_until_visited(target, rng, options);
 }
 
 template <Substrate S>

@@ -2,7 +2,7 @@
 
 namespace manywalks {
 
-// The hot loops (legacy shared-stream and pipelined lane-mode rounds)
+// The hot loops (the pipelined lane rounds and lane-major strips)
 // compile here once, with the substrate accessors inlined into the round
 // loop, instead of in every including translation unit.
 template class WalkEngineT<CsrSubstrate>;

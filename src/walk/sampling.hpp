@@ -3,7 +3,8 @@
 // The paper's main question starts all k walks from ONE vertex, but its
 // §1.1 comparison with Broder–Karlin–Raghavan–Upfal concerns walks started
 // from the stationary distribution, and the placement ablation
-// (bench/fig_start_placement) needs uniform and spread placements too.
+// (`manywalks run fig_start_placement`) needs uniform and spread
+// placements too.
 #pragma once
 
 #include <algorithm>
@@ -49,10 +50,9 @@ inline std::vector<Vertex> sample_stationary_starts(const Graph& g, unsigned k,
 }
 
 /// k independent uniform starts (with repetition). Uses the full-word
-/// Lemire draw: at giant n the legacy 32-bit path re-draws with
+/// Lemire draw: at giant n the 32-bit uniform_below re-draws with
 /// probability (2^32 mod n)/2^32 (~2.2% at n = 10^8); the wide path makes
-/// rejection vanishingly rare and start placement has no legacy-stream
-/// golden to preserve.
+/// rejection vanishingly rare.
 inline std::vector<Vertex> sample_uniform_starts(const Graph& g, unsigned k,
                                                  Rng& rng) {
   MW_REQUIRE(k >= 1, "k must be >= 1");

@@ -7,9 +7,7 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <concepts>
 #include <cstdint>
 #include <vector>
 
@@ -108,26 +106,9 @@ class WordVisitTracker {
   Vertex num_visited_ = 0;
 };
 
-/// What the sharded round driver needs from a visited-set shard scratch
-/// (determinism contract v3, docs/ARCHITECTURE.md): bits are committed per
-/// shard, per-shard distinct counts stay exact for the shard's own view,
-/// and the global count is recovered by a schedule-invariant reduction.
-/// Two models below: ShardedVisitTracker (private per-shard bitmaps +
-/// index-ordered merge) and AtomicVisitTracker (one shared relaxed-atomic
-/// bitmap).
-template <class T>
-concept ShardVisitTracker =
-    std::constructible_from<T, Vertex, unsigned> &&
-    requires(T t, const T ct, unsigned s, Vertex v) {
-      { t.reset() };
-      { t.visit(s, v) } -> std::same_as<bool>;
-      { ct.num_shards() } -> std::same_as<unsigned>;
-      { ct.num_vertices() } -> std::same_as<Vertex>;
-      { ct.shard_visited(s) } -> std::same_as<Vertex>;
-    };
-
-/// Per-shard word bitmaps plus an index-ordered merge: the race-free half
-/// of determinism contract v3. Each lane shard commits visits into its own
+/// Per-shard word bitmaps plus an index-ordered merge: the visited-set
+/// scratch of the sharded round driver (determinism contract v3,
+/// docs/ARCHITECTURE.md). Each lane shard commits visits into its own
 /// private bitmap (reusing the serial lane kernels unchanged — a shard's
 /// words pointer is bit-compatible with WordVisitTracker's), so the round
 /// loop shares no mutable state between shards. Cover detection works on
@@ -311,117 +292,5 @@ class ShardedVisitTracker {
   std::vector<PaddedCount> published_;
   Vertex merged_count_ = 0;
 };
-
-/// The relaxed-atomic model of the same concept: ONE shared bitmap of
-/// std::atomic words, committed with fetch_or(relaxed). Exactly one shard
-/// wins each bit (fetch_or returns the pre-set word), so the per-shard
-/// winner counts are exact and their sum plus the seed IS the union size —
-/// no merge pass at all, at the price of contended read-modify-writes on
-/// hot words. Relaxed ordering suffices: the counts are only read after
-/// the round barrier, whose acquire/release edge publishes them, and bit
-/// ownership needs no ordering (any winner is the same winner).
-///
-/// The cover decision reads published_total(parity) over the same
-/// double-buffered publish_shard counts as ShardedVisitTracker, and for
-/// the same reason: live counters are already advancing in round t+1 while
-/// slower workers evaluate round t, so a live sum could make workers take
-/// different branches.
-class AtomicVisitTracker {
- public:
-  AtomicVisitTracker(Vertex num_vertices, unsigned num_shards)
-      : words_((static_cast<std::size_t>(num_vertices) + 63) / 64),
-        num_vertices_(num_vertices),
-        num_shards_(num_shards),
-        visited_(num_shards),
-        published_(2 * static_cast<std::size_t>(num_shards)) {}
-
-  void reset() {
-    for (auto& word : words_) word.store(0, std::memory_order_relaxed);
-    for (auto& c : visited_) c.value = 0;
-    for (auto& c : published_) c.value = 0;
-    seed_visited_ = 0;
-  }
-
-  unsigned num_shards() const noexcept { return num_shards_; }
-  Vertex num_vertices() const noexcept { return num_vertices_; }
-
-  /// Preloads the shared bitmap with a pre-run visited set.
-  void seed(const std::uint64_t* words, Vertex visited) {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      words_[w].store(words[w], std::memory_order_relaxed);
-    }
-    seed_visited_ = visited;
-  }
-
-  /// Commits v on behalf of shard s; true iff this call won the bit.
-  bool visit(unsigned s, Vertex v) {
-    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-    const std::uint64_t before =
-        words_[v >> 6].fetch_or(bit, std::memory_order_relaxed);
-    if ((before & bit) != 0) return false;
-    ++visited_[s].value;
-    return true;
-  }
-
-  /// Bits shard s won so far (exact: one winner per bit).
-  Vertex shard_visited(unsigned s) const { return visited_[s].value; }
-
-  /// Freezes shard s's live winner count into the round-`parity` publish
-  /// buffer (called by the shard's executor before the round barrier).
-  void publish_shard(unsigned parity, unsigned s) {
-    published_[static_cast<std::size_t>(parity) * num_shards_ + s].value =
-        visited_[s].value;
-  }
-
-  /// Exact union size at the round of `parity`: seed + Σ per-shard
-  /// PUBLISHED winner counts. Read after the round barrier; the frozen
-  /// buffer keeps every worker's copy of the decision identical.
-  std::uint64_t published_total(unsigned parity) const {
-    std::uint64_t total = seed_visited_;
-    const std::size_t base = static_cast<std::size_t>(parity) * num_shards_;
-    for (unsigned s = 0; s < num_shards_; ++s) {
-      total += published_[base + s].value;
-    }
-    return total;
-  }
-
-  /// Exact union size from the LIVE counters: seed + Σ winner counts. Only
-  /// meaningful when no executor is mutating (single-threaded use, or after
-  /// the team has joined) — inside a team round loop use published_total.
-  std::uint64_t total_visited() const {
-    std::uint64_t total = seed_visited_;
-    for (unsigned s = 0; s < num_shards_; ++s) total += visited_[s].value;
-    return total;
-  }
-
-  bool visited(Vertex v) const {
-    return ((words_[v >> 6].load(std::memory_order_relaxed) >> (v & 63)) & 1) !=
-           0;
-  }
-
-  /// Snapshots the shared bitmap into plain words (the engine's write-back
-  /// into its WordVisitTracker after the run).
-  void copy_words_to(std::uint64_t* dest) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      dest[w] = words_[w].load(std::memory_order_relaxed);
-    }
-  }
-
- private:
-  struct alignas(64) PaddedCount {
-    Vertex value = 0;
-  };
-
-  std::vector<std::atomic<std::uint64_t>> words_;
-  Vertex num_vertices_;
-  unsigned num_shards_;
-  std::vector<PaddedCount> visited_;
-  /// Two parity-indexed rows of per-shard counts (see publish_shard).
-  std::vector<PaddedCount> published_;
-  Vertex seed_visited_ = 0;
-};
-
-static_assert(ShardVisitTracker<ShardedVisitTracker>);
-static_assert(ShardVisitTracker<AtomicVisitTracker>);
 
 }  // namespace manywalks

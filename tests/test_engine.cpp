@@ -7,48 +7,12 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "reference_walks.hpp"
 #include "util/thread_pool.hpp"
 #include "walk/cover.hpp"
-#include "walk/visit_tracker.hpp"
-#include "walk/walker.hpp"
 
 namespace manywalks {
 namespace {
-
-/// Reference implementation: the seed's per-step k-walk loop, kept here as
-/// the oracle for the engine's determinism contract (monte_carlo.hpp: trial
-/// i under master seed s always uses make_trial_rng(s, i) and must see the
-/// same stream regardless of which code path advances the tokens).
-CoverSample reference_cover(const Graph& g, std::span<const Vertex> starts,
-                            Vertex target, Rng& rng,
-                            const CoverOptions& options = {}) {
-  VisitTracker tracker(g.num_vertices());
-  std::vector<Vertex> tokens(starts.begin(), starts.end());
-  for (Vertex s : tokens) tracker.visit(s);
-  CoverSample sample;
-  if (tracker.num_visited() >= target) {
-    sample.covered = true;
-    return sample;
-  }
-  const bool lazy = options.laziness > 0.0;
-  std::uint64_t t = 0;
-  while (t < options.step_cap) {
-    ++t;
-    for (Vertex& token : tokens) {
-      token = lazy ? step_walk_lazy(g, token, rng, options.laziness)
-                   : step_walk(g, token, rng);
-      tracker.visit(token);
-    }
-    if (tracker.num_visited() >= target) {
-      sample.steps = t;
-      sample.covered = true;
-      return sample;
-    }
-  }
-  sample.steps = options.step_cap;
-  sample.covered = false;
-  return sample;
-}
 
 struct Instance {
   const char* name;
@@ -65,51 +29,159 @@ std::vector<Instance> test_instances() {
   return instances;
 }
 
-TEST(WalkEngine, ByteIdenticalToReferenceAcrossTrialStreams) {
-  constexpr std::uint64_t kMasterSeed = 0x5eedULL;
-  constexpr std::uint64_t kTrials = 24;
-  for (const auto& [name, g] : test_instances()) {
-    WalkEngine engine(g);
-    for (unsigned k : {1u, 3u, 16u}) {
-      const std::vector<Vertex> starts(k, 0);
-      for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
-        Rng ref_rng = make_trial_rng(kMasterSeed, trial);
-        Rng eng_rng = make_trial_rng(kMasterSeed, trial);
-        const CoverSample expected =
-            reference_cover(g, starts, g.num_vertices(), ref_rng);
-        engine.reset(starts);
-        const CoverSample actual =
-            engine.run_until_visited(g.num_vertices(), eng_rng);
-        ASSERT_EQ(expected.steps, actual.steps)
-            << name << " k=" << k << " trial=" << trial;
-        ASSERT_EQ(expected.covered, actual.covered)
-            << name << " k=" << k << " trial=" << trial;
-        // Same draws consumed, not just same result.
-        ASSERT_EQ(ref_rng.state(), eng_rng.state())
-            << name << " k=" << k << " trial=" << trial;
-      }
+// --- lane reference oracle ----------------------------------------------------
+
+/// Runs cover trials of the engine and of the plain lane reference walk on
+/// the same trial streams: steps, covered flag, final tokens, visited set
+/// and the caller's rng state must all match exactly.
+template <class S>
+void expect_cover_matches_lane_reference(const S& substrate,
+                                         std::span<const Vertex> starts,
+                                         Vertex target,
+                                         const CoverOptions& options = {}) {
+  WalkEngineT<S> engine(substrate);
+  for (std::uint64_t trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(testing::Message() << "k=" << starts.size()
+                                    << " target=" << target
+                                    << " trial=" << trial);
+    Rng ref_rng = make_trial_rng(0x0eac1eULL, trial);
+    Rng eng_rng = make_trial_rng(0x0eac1eULL, trial);
+    LaneReferenceWalk<S> reference(substrate, starts);
+    const CoverSample expected =
+        reference.run_until_visited(target, ref_rng, options);
+    engine.reset(starts);
+    const CoverSample actual =
+        engine.run_until_visited(target, eng_rng, options);
+    ASSERT_EQ(expected.steps, actual.steps);
+    ASSERT_EQ(expected.covered, actual.covered);
+    ASSERT_EQ(ref_rng.state(), eng_rng.state());
+    ASSERT_EQ(reference.num_visited(), engine.num_visited());
+    for (Vertex v = 0; v < substrate.num_vertices(); ++v) {
+      ASSERT_EQ(reference.visited(v), engine.visited(v)) << "v=" << v;
+    }
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      ASSERT_EQ(reference.tokens()[i], engine.tokens()[i]) << "lane=" << i;
     }
   }
 }
 
-TEST(WalkEngine, ByteIdenticalToReferenceWithLaziness) {
-  const Graph g = make_grid_2d(8);
-  WalkEngine engine(g);
-  CoverOptions options;
-  options.laziness = 0.3;
-  const std::vector<Vertex> starts(4, 2);
-  for (std::uint64_t trial = 0; trial < 16; ++trial) {
-    Rng ref_rng = make_trial_rng(99, trial);
-    Rng eng_rng = make_trial_rng(99, trial);
-    const CoverSample expected =
-        reference_cover(g, starts, g.num_vertices(), ref_rng, options);
+/// Token counts around the kernels' block sizes: a single lane, a partial
+/// 4-lane strip, one full 16-lane pipeline block, and several blocks with
+/// a ragged tail.
+const unsigned kLaneCounts[] = {1u, 3u, 16u, 37u};
+
+/// Starts spread over the vertex range (deterministic, repeats allowed).
+std::vector<Vertex> spread(unsigned k, Vertex n) {
+  std::vector<Vertex> starts(k);
+  for (unsigned i = 0; i < k; ++i) starts[i] = (i * 7919u) % n;
+  return starts;
+}
+
+template <class S>
+void expect_all_matches_lane_reference(const S& substrate,
+                                       const CoverOptions& options = {}) {
+  const Vertex n = substrate.num_vertices();
+  for (const unsigned k : kLaneCounts) {
+    const std::vector<Vertex> starts = spread(k, n);
+    expect_cover_matches_lane_reference(substrate, starts, n, options);
+    expect_cover_matches_lane_reference(substrate, starts, n / 2 + 1,
+                                        options);
+  }
+  // A capped run ends uncovered at exactly the cap.
+  CoverOptions capped = options;
+  capped.step_cap = 5;
+  expect_cover_matches_lane_reference(substrate, spread(3, n), n, capped);
+}
+
+TEST(LaneOracle, IrregularCsrGraphsTakeTheStagedPipeline) {
+  const Graph barbell = make_barbell(21);
+  const Graph lollipop = make_lollipop(24);
+  ASSERT_EQ(CsrSubstrate(barbell).regular_stride(), 0u);
+  ASSERT_EQ(CsrSubstrate(lollipop).regular_stride(), 0u);
+  expect_all_matches_lane_reference(CsrSubstrate(barbell));
+  expect_all_matches_lane_reference(CsrSubstrate(lollipop));
+}
+
+TEST(LaneOracle, RegularCsrGraphsTakeTheStridePath) {
+  // Degree 8 (mask draw) and degrees 6 and 31 (full-word draw).
+  const Graph margulis = make_margulis_expander(8);
+  const Graph hypercube = make_hypercube(6);
+  const Graph complete = make_complete(32);
+  ASSERT_EQ(CsrSubstrate(margulis).regular_stride(), 8u);
+  expect_all_matches_lane_reference(CsrSubstrate(margulis));
+  expect_all_matches_lane_reference(CsrSubstrate(hypercube));
+  expect_all_matches_lane_reference(CsrSubstrate(complete));
+}
+
+TEST(LaneOracle, HypercubeSubstrateMaskDraw) {
+  expect_all_matches_lane_reference(HypercubeSubstrate(8));  // degree 8
+}
+
+TEST(LaneOracle, OddSideTorusAndWideDrawSubstrates) {
+  // The odd-side torus exercises the wrap arithmetic off powers of two;
+  // its degree is 4 (mask draw). Degree 29 and degree 5 take the hoisted
+  // full-word draw.
+  expect_all_matches_lane_reference(TorusSubstrate(9));
+  expect_all_matches_lane_reference(CompleteSubstrate(30));
+  expect_all_matches_lane_reference(HypercubeSubstrate(5));
+}
+
+TEST(LaneOracle, LazyWalksMatch) {
+  CoverOptions lazy;
+  lazy.laziness = 0.25;
+  const Graph barbell = make_barbell(21);
+  const Graph margulis = make_margulis_expander(8);
+  expect_all_matches_lane_reference(CsrSubstrate(barbell), lazy);
+  expect_all_matches_lane_reference(CsrSubstrate(margulis), lazy);
+  expect_all_matches_lane_reference(TorusSubstrate(9), lazy);
+  expect_all_matches_lane_reference(CycleSubstrate(33), lazy);
+}
+
+/// run_for_steps in two chunks with visit counters against one reference
+/// run: implicit substrates take the lane-major strip schedule here, CSR
+/// the round-major kernels.
+template <class S>
+void expect_steps_match_lane_reference(const S& substrate, double laziness) {
+  const Vertex n = substrate.num_vertices();
+  for (const unsigned k : kLaneCounts) {
+    SCOPED_TRACE(testing::Message() << "k=" << k << " laziness=" << laziness);
+    const std::vector<Vertex> starts = spread(k, n);
+    Rng ref_rng(k + 17);
+    Rng eng_rng(k + 17);
+    std::vector<std::uint64_t> ref_counts(n, 0);
+    std::vector<std::uint64_t> eng_counts(n, 0);
+    LaneReferenceWalk<S> reference(substrate, starts);
+    reference.run_for_steps(50, ref_rng, laziness, ref_counts.data());
+    WalkEngineT<S> engine(substrate);
     engine.reset(starts);
-    const CoverSample actual =
-        engine.run_until_visited(g.num_vertices(), eng_rng, options);
-    EXPECT_EQ(expected.steps, actual.steps) << "trial=" << trial;
-    EXPECT_EQ(ref_rng.state(), eng_rng.state()) << "trial=" << trial;
+    engine.run_for_steps(20, eng_rng, laziness, eng_counts.data());
+    engine.run_for_steps(30, eng_rng, laziness, eng_counts.data());
+    ASSERT_EQ(ref_rng.state(), eng_rng.state());
+    ASSERT_EQ(ref_counts, eng_counts);
+    ASSERT_EQ(reference.num_visited(), engine.num_visited());
+    for (Vertex v = 0; v < n; ++v) {
+      ASSERT_EQ(reference.visited(v), engine.visited(v)) << "v=" << v;
+    }
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      ASSERT_EQ(reference.tokens()[i], engine.tokens()[i]) << "lane=" << i;
+    }
   }
 }
+
+TEST(LaneOracle, RunForStepsMatchesOnEverySubstrateKind) {
+  const Graph barbell = make_barbell(21);
+  const Graph margulis = make_margulis_expander(8);
+  for (const double laziness : {0.0, 0.25}) {
+    expect_steps_match_lane_reference(TorusSubstrate(9), laziness);
+    expect_steps_match_lane_reference(CycleSubstrate(101), laziness);
+    expect_steps_match_lane_reference(HypercubeSubstrate(8), laziness);
+    expect_steps_match_lane_reference(CompleteSubstrate(30), laziness);
+    expect_steps_match_lane_reference(CsrSubstrate(barbell), laziness);
+    expect_steps_match_lane_reference(CsrSubstrate(margulis), laziness);
+  }
+}
+
+// --- engine contracts ------------------------------------------------------------
 
 TEST(WalkEngine, StepCapTruncates) {
   const Graph g = make_cycle(1024);  // cover needs ~n^2/2 steps, cap first
@@ -208,23 +280,21 @@ TEST(WalkEngine, ValidatesArguments) {
   EXPECT_THROW(engine.run_for_steps(1, rng, -0.1), std::invalid_argument);
 }
 
-TEST(WalkEngine, CsrSubstrateInstantiationIsTheGraphEngine) {
-  // WalkEngine IS WalkEngineT<CsrSubstrate>: a bare template instantiation
-  // over the wrapped CSR arrays must consume the same draws and sample the
-  // same cover times as both the Graph-facing engine and the reference
-  // per-step walker (the RNG-stream contract the substrate refactor must
-  // not break).
+TEST(WalkEngine, GraphEngineMatchesCsrLaneReference) {
+  // WalkEngine(g) binds CsrSubstrate(g): it must walk that substrate
+  // exactly as the plain lane reference walk does, draw for draw.
   for (const auto& [name, g] : test_instances()) {
-    WalkEngineT<CsrSubstrate> substrate_engine{CsrSubstrate(g)};
+    WalkEngine engine(g);
     const std::vector<Vertex> starts(3, 0);
     for (std::uint64_t trial = 0; trial < 12; ++trial) {
       Rng ref_rng = make_trial_rng(0xabcULL, trial);
       Rng eng_rng = make_trial_rng(0xabcULL, trial);
+      LaneReferenceWalk<CsrSubstrate> reference(CsrSubstrate(g), starts);
       const CoverSample expected =
-          reference_cover(g, starts, g.num_vertices(), ref_rng);
-      substrate_engine.reset(starts);
+          reference.run_until_visited(g.num_vertices(), ref_rng);
+      engine.reset(starts);
       const CoverSample actual =
-          substrate_engine.run_until_visited(g.num_vertices(), eng_rng);
+          engine.run_until_visited(g.num_vertices(), eng_rng);
       ASSERT_EQ(expected.steps, actual.steps) << name << " trial=" << trial;
       ASSERT_EQ(ref_rng.state(), eng_rng.state()) << name << " trial=" << trial;
     }
@@ -272,7 +342,7 @@ TEST(WalkEngine, ShardCountAndThreadCountAreInvisible) {
   // Determinism contract v3: for a fixed seed, the sharded round driver
   // must be BIT-identical to the serial lane path — same steps, same
   // visited count, same visited set — for every shard count, with and
-  // without a worker team, for both tracker models.
+  // without a worker team.
   constexpr std::uint64_t kMasterSeed = 0xc3ULL;
   ThreadPool pool1(1);
   ThreadPool pool3(3);
@@ -282,33 +352,25 @@ TEST(WalkEngine, ShardCountAndThreadCountAreInvisible) {
     const std::vector<Vertex> starts(16, 0);
     const auto target = static_cast<Vertex>(g.num_vertices());
     for (std::uint64_t trial = 0; trial < 8; ++trial) {
-      CoverOptions lane;
-      lane.rng_mode = RngMode::kLane;
       Rng ref_rng = make_trial_rng(kMasterSeed, trial);
       serial.reset(starts);
-      const CoverSample expected = serial.run_until_visited(target, ref_rng, lane);
-      for (const ShardTrackerKind kind :
-           {ShardTrackerKind::kSharded, ShardTrackerKind::kAtomic}) {
-        for (const unsigned shards : {1u, 2u, 8u}) {
-          for (ThreadPool* pool : {(ThreadPool*)nullptr, &pool1, &pool3}) {
-            CoverOptions opt = lane;
-            opt.lane_shards = shards;
-            opt.shard_pool = pool;
-            opt.shard_tracker = kind;
-            Rng rng = make_trial_rng(kMasterSeed, trial);
-            sharded.reset(starts);
-            const CoverSample actual = sharded.run_until_visited(target, rng, opt);
-            const char* kind_name =
-                kind == ShardTrackerKind::kSharded ? "sharded" : "atomic";
-            ASSERT_EQ(expected.steps, actual.steps)
-                << name << " trial=" << trial << " shards=" << shards
-                << " tracker=" << kind_name << " pool=" << (pool != nullptr);
-            ASSERT_EQ(expected.covered, actual.covered) << name;
-            ASSERT_EQ(serial.num_visited(), sharded.num_visited()) << name;
-            for (Vertex v = 0; v < g.num_vertices(); ++v) {
-              ASSERT_EQ(serial.visited(v), sharded.visited(v))
-                  << name << " v=" << v << " shards=" << shards;
-            }
+      const CoverSample expected = serial.run_until_visited(target, ref_rng);
+      for (const unsigned shards : {1u, 2u, 8u}) {
+        for (ThreadPool* pool : {(ThreadPool*)nullptr, &pool1, &pool3}) {
+          CoverOptions opt;
+          opt.lane_shards = shards;
+          opt.shard_pool = pool;
+          Rng rng = make_trial_rng(kMasterSeed, trial);
+          sharded.reset(starts);
+          const CoverSample actual = sharded.run_until_visited(target, rng, opt);
+          ASSERT_EQ(expected.steps, actual.steps)
+              << name << " trial=" << trial << " shards=" << shards
+              << " pool=" << (pool != nullptr);
+          ASSERT_EQ(expected.covered, actual.covered) << name;
+          ASSERT_EQ(serial.num_visited(), sharded.num_visited()) << name;
+          for (Vertex v = 0; v < g.num_vertices(); ++v) {
+            ASSERT_EQ(serial.visited(v), sharded.visited(v))
+                << name << " v=" << v << " shards=" << shards;
           }
         }
       }
@@ -327,12 +389,10 @@ TEST(WalkEngine, ShardedPartialTargetsMatchSerial) {
   const std::vector<Vertex> starts(8, 0);
   for (const Vertex target : {Vertex{9}, Vertex{64}, Vertex{256}}) {
     for (std::uint64_t trial = 0; trial < 12; ++trial) {
-      CoverOptions lane;
-      lane.rng_mode = RngMode::kLane;
       Rng ref_rng = make_trial_rng(0xeeULL, trial);
       serial.reset(starts);
-      const CoverSample expected = serial.run_until_visited(target, ref_rng, lane);
-      CoverOptions opt = lane;
+      const CoverSample expected = serial.run_until_visited(target, ref_rng);
+      CoverOptions opt;
       opt.lane_shards = 4;
       opt.shard_pool = &pool;
       Rng rng = make_trial_rng(0xeeULL, trial);
@@ -351,7 +411,6 @@ TEST(WalkEngine, ShardedStepCapTruncatesLikeSerial) {
   WalkEngine engine(g);
   const std::vector<Vertex> starts(4, 0);
   CoverOptions opt;
-  opt.rng_mode = RngMode::kLane;
   opt.step_cap = 10;
   opt.lane_shards = 2;
   opt.shard_pool = &pool;
@@ -368,7 +427,7 @@ TEST(WalkEngine, ShardedStepCapTruncatesLikeSerial) {
 }
 
 TEST(WalkEngine, LaneAndSharedStreamDistributionsAgree) {
-  // The sharded lane path and the legacy shared-stream path draw from
+  // The sharded lane path and the shared-stream reference walk draw from
   // different streams, so their samples differ trial by trial — but they
   // sample the SAME cover-time distribution. A two-sample mean test with a
   // generous gate catches gross distributional drift (e.g. a shard losing
@@ -379,36 +438,32 @@ TEST(WalkEngine, LaneAndSharedStreamDistributionsAgree) {
   const std::vector<Vertex> starts(8, 0);
   const auto target = static_cast<Vertex>(g.num_vertices());
   constexpr int kTrials = 300;
-  double sum_lane = 0, sum_legacy = 0, sq_lane = 0, sq_legacy = 0;
+  double sum_lane = 0, sum_shared = 0, sq_lane = 0, sq_shared = 0;
   for (int trial = 0; trial < kTrials; ++trial) {
     CoverOptions sharded;
-    sharded.rng_mode = RngMode::kLane;
     sharded.lane_shards = 4;
     sharded.shard_pool = &pool;
     Rng rng_lane = make_trial_rng(0x10, trial);
     engine.reset(starts);
     const auto lane =
         static_cast<double>(engine.run_until_visited(target, rng_lane, sharded).steps);
-    CoverOptions legacy;
-    legacy.rng_mode = RngMode::kSharedLegacy;
-    Rng rng_legacy = make_trial_rng(0x20, trial);
-    engine.reset(starts);
-    const auto shared =
-        static_cast<double>(engine.run_until_visited(target, rng_legacy, legacy).steps);
+    Rng rng_shared = make_trial_rng(0x20, trial);
+    const auto shared = static_cast<double>(
+        shared_stream_cover(g, starts, target, rng_shared).steps);
     sum_lane += lane;
-    sum_legacy += shared;
+    sum_shared += shared;
     sq_lane += lane * lane;
-    sq_legacy += shared * shared;
+    sq_shared += shared * shared;
   }
   const double mean_lane = sum_lane / kTrials;
-  const double mean_legacy = sum_legacy / kTrials;
+  const double mean_shared = sum_shared / kTrials;
   const double var_lane = sq_lane / kTrials - mean_lane * mean_lane;
-  const double var_legacy = sq_legacy / kTrials - mean_legacy * mean_legacy;
-  const double se = std::sqrt((var_lane + var_legacy) / kTrials);
+  const double var_shared = sq_shared / kTrials - mean_shared * mean_shared;
+  const double se = std::sqrt((var_lane + var_shared) / kTrials);
   // ~5.5 sigma two-sample z gate: false-positive odds are negligible while
   // any systematic visit-accounting bug shifts the mean far beyond it.
-  EXPECT_LT(std::abs(mean_lane - mean_legacy), 5.5 * se + 1e-9)
-      << "lane mean " << mean_lane << " vs legacy mean " << mean_legacy;
+  EXPECT_LT(std::abs(mean_lane - mean_shared), 5.5 * se + 1e-9)
+      << "lane mean " << mean_lane << " vs shared-stream mean " << mean_shared;
 }
 
 TEST(WalkEngine, RejectsImpossibleTarget) {

@@ -121,7 +121,7 @@ TEST(Lemma16Probability, FormulaAndClamping) {
 }
 
 TEST(Lemma16Probability, MeasuredKWalkDominatesBoundOnCycle) {
-  // End-to-end miniature of bench/fig_lemma16 on the 17-cycle.
+  // End-to-end miniature of `manywalks run fig_lemma16` on the 17-cycle.
   const Graph g = make_cycle(17);
   const std::uint64_t t_c = 2 * 136;  // 2 * C(17) = 2 * (17·16/2)
   const double h_max = 8.0 * 9.0;     // floor(17/2)*ceil(17/2)

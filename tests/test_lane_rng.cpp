@@ -1,16 +1,14 @@
-// The lane-RNG layer of determinism contract v2 (util/rng.hpp LaneRngs /
+// The lane-RNG layer of determinism contract v5 (util/rng.hpp LaneRngs /
 // make_lane_rng / uniform_below_wide / lane_neighbor_index, and the walk
-// engine's RngMode::kLane kernels):
+// engine's lane kernels):
 //   * lane streams are deterministic, pairwise distinct across 10^4 lanes,
 //     and never alias trial streams;
 //   * the full-word Lemire draw and the pow2 mask draw are in-range and
 //     pass chi-square uniformity;
-//   * lane mode is pinned by goldens, bit-identical between CSR and
+//   * the engine is pinned by goldens, bit-identical between CSR and
 //     CSR-ordered implicit engines, chunk-consistent, thread-invariant,
-//     and statistically indistinguishable from legacy mode (cycle mean
-//     within CI of the closed form n(n-1)/2);
-//   * legacy mode remains byte-identical to the pre-lane streams (goldens
-//     generated from the pre-PR build).
+//     and statistically indistinguishable from a shared-stream walk (cycle
+//     mean within CI of the closed form n(n-1)/2).
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +22,7 @@
 #include "graph/generators.hpp"
 #include "graph/substrate.hpp"
 #include "mc/estimators.hpp"
+#include "reference_walks.hpp"
 #include "walk/cover.hpp"
 #include "walk/engine.hpp"
 
@@ -150,12 +149,6 @@ TEST(SubstrateTraits, RegularStrideDetectsRegularCsrGraphs) {
 
 // --- lane-mode engine goldens ------------------------------------------------
 
-constexpr CoverOptions legacy_cover_options() {
-  CoverOptions options;
-  options.rng_mode = RngMode::kSharedLegacy;
-  return options;
-}
-
 TEST(LaneMode, GoldenSamplesPinned) {
   // Fixed-seed lane-mode samples; any change to the lane derivation, the
   // draw policies, or the kernel's draw ORDER shows up here first.
@@ -178,48 +171,13 @@ TEST(LaneMode, GoldenSamplesPinned) {
   }
 }
 
-TEST(LegacyMode, GoldenSamplesByteIdenticalToPrePrStreams) {
-  // Values generated with the pre-lane build (PR 3 head): the raw engine's
-  // default options and an explicit kSharedLegacy must keep reproducing
-  // them forever.
-  const Graph g = make_cycle(64);
-  WalkEngine engine(g);
-  const std::uint64_t expected_k1[6] = {1360, 3617, 1786, 1944, 1700, 4686};
-  const std::uint64_t expected_k3[6] = {1196, 689, 260, 755, 398, 692};
-  for (std::uint64_t trial = 0; trial < 6; ++trial) {
-    for (unsigned k : {1u, 3u}) {
-      const std::vector<Vertex> starts(k, 0);
-      Rng rng = make_trial_rng(0xfacadeULL, trial);
-      engine.reset(starts);
-      const CoverSample sample =
-          engine.run_until_visited(g.num_vertices(), rng);  // default = legacy
-      EXPECT_EQ(sample.steps,
-                (k == 1 ? expected_k1 : expected_k3)[trial])
-          << "k=" << k << " trial=" << trial;
-    }
-  }
-  // The substrate SAMPLER defaults to lane now, so legacy there needs the
-  // explicit mode — under which it still matches the pre-PR sampler.
-  const CycleSubstrate sub96(96);
-  const std::uint64_t expected_sub[6] = {350, 234, 321, 214, 337, 275};
-  for (std::uint64_t trial = 0; trial < 6; ++trial) {
-    Rng rng = make_trial_rng(0xfacadeULL, trial);
-    const std::vector<Vertex> starts(4, 0);
-    EXPECT_EQ(sample_cover_to_target(sub96, starts, 48, rng,
-                                     legacy_cover_options())
-                  .steps,
-              expected_sub[trial])
-        << trial;
-  }
-}
-
 // --- lane-mode structural contracts ------------------------------------------
 
 TEST(LaneMode, CsrEngineBitIdenticalToImplicitEngine) {
   // lane_neighbor_index is a pure function of (lane stream, degree), so the
   // CSR and implicit engines of a CSR-ordered family consume identical
   // draws in lane mode too — stride fast path, mask fast path and all.
-  const CoverOptions lane = lane_cover_options();
+  const CoverOptions lane{};
   {
     const Vertex n = 96;
     const Graph g = make_cycle(n);
@@ -266,10 +224,10 @@ TEST(LaneMode, ChunkedRunForStepsMatchesOneRunAndConsumesOneDraw) {
   Rng rng_a(7);
   Rng rng_b(7);
   a.reset(starts);
-  a.run_for_steps(10, rng_a, 0.0, nullptr, RngMode::kLane);
-  a.run_for_steps(6, rng_a, 0.0, nullptr, RngMode::kLane);
+  a.run_for_steps(10, rng_a);
+  a.run_for_steps(6, rng_a);
   b.reset(starts);
-  b.run_for_steps(16, rng_b, 0.0, nullptr, RngMode::kLane);
+  b.run_for_steps(16, rng_b);
   EXPECT_EQ(rng_a.state(), rng_b.state());
   ASSERT_EQ(a.tokens().size(), b.tokens().size());
   for (std::size_t i = 0; i < a.tokens().size(); ++i) {
@@ -286,9 +244,9 @@ TEST(LaneMode, ChunkedRunForStepsMatchesOneRunAndConsumesOneDraw) {
   WalkEngineT<TorusSubstrate> c(substrate);
   Rng rng_c(7);
   c.reset(starts);
-  c.run_for_steps(0, rng_c, 0.0, nullptr, RngMode::kLane);
+  c.run_for_steps(0, rng_c);
   EXPECT_EQ(rng_c.state(), Rng(7).state());
-  c.run_for_steps(16, rng_c, 0.0, nullptr, RngMode::kLane);
+  c.run_for_steps(16, rng_c);
   for (std::size_t i = 0; i < c.tokens().size(); ++i) {
     EXPECT_EQ(c.tokens()[i], b.tokens()[i]);
   }
@@ -305,9 +263,9 @@ TEST(LaneMode, RunForStepsAgreesWithRunUntilVisitedSchedule) {
   Rng rng_a(31);
   Rng rng_b(31);
   via_steps.reset(starts);
-  via_steps.run_for_steps(200, rng_a, 0.0, nullptr, RngMode::kLane);
+  via_steps.run_for_steps(200, rng_a);
 
-  CoverOptions options = lane_cover_options();
+  CoverOptions options;
   options.step_cap = 200;
   via_cover.reset(starts);
   const CoverSample sample =
@@ -329,10 +287,10 @@ TEST(LaneMode, LazyChunksStayConsistent) {
   Rng rng_a(3);
   Rng rng_b(3);
   a.reset(starts);
-  a.run_for_steps(7, rng_a, 0.25, nullptr, RngMode::kLane);
-  a.run_for_steps(9, rng_a, 0.25, nullptr, RngMode::kLane);
+  a.run_for_steps(7, rng_a, 0.25);
+  a.run_for_steps(9, rng_a, 0.25);
   b.reset(starts);
-  b.run_for_steps(16, rng_b, 0.25, nullptr, RngMode::kLane);
+  b.run_for_steps(16, rng_b, 0.25);
   for (std::size_t i = 0; i < a.tokens().size(); ++i) {
     EXPECT_EQ(a.tokens()[i], b.tokens()[i]);
   }
@@ -348,11 +306,11 @@ TEST(LaneMode, BitReproducibleAcrossThreadCounts) {
   mc.threads = 1;
   const McResult serial =
       estimate_cover_to_target(substrate, 0, 4, /*target=*/256, mc,
-                               lane_cover_options());
+                               CoverOptions{});
   mc.threads = 8;
   const McResult parallel =
       estimate_cover_to_target(substrate, 0, 4, /*target=*/256, mc,
-                               lane_cover_options());
+                               CoverOptions{});
   EXPECT_DOUBLE_EQ(serial.ci.mean, parallel.ci.mean);
   EXPECT_EQ(serial.stats.count(), parallel.stats.count());
 }
@@ -364,7 +322,7 @@ TEST(LaneMode, VisitCountsSumToTokenSteps) {
   engine.reset(starts);
   std::vector<std::uint64_t> counts(g.num_vertices(), 0);
   Rng rng(11);
-  engine.run_for_steps(100, rng, 0.0, counts.data(), RngMode::kLane);
+  engine.run_for_steps(100, rng, 0.0, counts.data());
   std::uint64_t total = 0;
   for (std::uint64_t c : counts) total += c;
   EXPECT_EQ(total, 200u);  // 2 tokens x 100 rounds
@@ -394,19 +352,22 @@ TEST(LaneMode, CycleCoverMeanWithinCiOfClosedForm) {
   EXPECT_NEAR(mean, closed_form, 5.0 * se);
 }
 
-TEST(LaneMode, CoverDistributionIndistinguishableFromLegacy) {
-  // Same family, same trial budget, the two modes' means must agree within
-  // combined standard errors (they sample the same distribution from
-  // different streams).
+TEST(LaneMode, CoverDistributionIndistinguishableFromSharedStream) {
+  // Same family, same trial budget: the engine's means and those of the
+  // shared-stream reference walk must agree within combined standard
+  // errors (they sample the same distribution from different streams).
   const CycleSubstrate substrate(32);
+  const Graph g = make_cycle(32);
+  const std::vector<Vertex> starts(4, 0);
   constexpr std::uint64_t kTrials = 1500;
-  auto run = [&](const CoverOptions& options) {
+  auto run = [&](bool shared_stream) {
     double sum = 0.0;
     double sum_sq = 0.0;
     for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
       Rng rng = make_trial_rng(0xd157ULL, trial);
       const auto steps = static_cast<double>(
-          sample_k_cover_time(substrate, 0, 4, rng, options).steps);
+          shared_stream ? shared_stream_cover(g, starts, 32, rng).steps
+                        : sample_k_cover_time(substrate, 0, 4, rng).steps);
       sum += steps;
       sum_sq += steps * steps;
     }
@@ -414,11 +375,11 @@ TEST(LaneMode, CoverDistributionIndistinguishableFromLegacy) {
     const double var = (sum_sq - sum * sum / kTrials) / (kTrials - 1);
     return std::pair<double, double>(mean, std::sqrt(var / kTrials));
   };
-  const auto [lane_mean, lane_se] = run(lane_cover_options());
-  const auto [legacy_mean, legacy_se] = run(legacy_cover_options());
+  const auto [lane_mean, lane_se] = run(false);
+  const auto [shared_mean, shared_se] = run(true);
   const double combined =
-      std::sqrt(lane_se * lane_se + legacy_se * legacy_se);
-  EXPECT_NEAR(lane_mean, legacy_mean, 5.0 * combined);
+      std::sqrt(lane_se * lane_se + shared_se * shared_se);
+  EXPECT_NEAR(lane_mean, shared_mean, 5.0 * combined);
 }
 
 TEST(LaneMode, CompleteGraphOccupancyUniform) {
@@ -434,7 +395,7 @@ TEST(LaneMode, CompleteGraphOccupancyUniform) {
     std::vector<std::uint64_t> counts(n, 0);
     Rng rng(5);
     constexpr std::uint64_t kRounds = 20000;
-    engine.run_for_steps(kRounds, rng, 0.0, counts.data(), RngMode::kLane);
+    engine.run_for_steps(kRounds, rng, 0.0, counts.data());
     const double expected =
         static_cast<double>(8 * kRounds) / static_cast<double>(n);
     for (Vertex v = 0; v < n; ++v) {

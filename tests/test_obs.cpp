@@ -17,6 +17,7 @@
 #include "cli/registry.hpp"
 #include "cli/sinks.hpp"
 #include "graph/generators.hpp"
+#include "mc/estimators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "obs/progress.hpp"
@@ -24,6 +25,7 @@
 #include "storage/mwg.hpp"
 #include "util/thread_pool.hpp"
 #include "walk/engine.hpp"
+#include "walk/hitting.hpp"
 
 namespace manywalks {
 namespace {
@@ -393,7 +395,6 @@ TEST(ObsGolden, ShardedCoverRunIsBitIdenticalUnderFullObservation) {
   const std::vector<Vertex> starts(kK, 0);
   ThreadPool pool(3);
   CoverOptions opt;
-  opt.rng_mode = RngMode::kLane;
   opt.lane_shards = 4;
   opt.shard_pool = &pool;
   WalkEngine engine(g);
@@ -427,6 +428,48 @@ TEST(ObsGolden, ShardedCoverRunIsBitIdenticalUnderFullObservation) {
   EXPECT_GT(registry.value(Metric::kMerges) +
                 registry.value(Metric::kMergeStalls),
             0u);
+}
+
+TEST(ObsGolden, HittingTimeEstimateCountsItsWalkStepsAndStaysInert) {
+  // The Monte-Carlo h(u,v) samplers walk outside the engine; their
+  // token-steps must still reach walk.steps, one flush per sample.
+  discard_pending_scratch();
+  const Graph g = make_grid_2d(6);
+  constexpr Vertex kFrom = 0;
+  constexpr Vertex kTo = 21;
+  McOptions mc;
+  mc.min_trials = 16;
+  mc.max_trials = 96;
+  mc.seed = 41;
+  ThreadPool pool(2);
+  const McResult unobserved = estimate_hitting_time(g, kFrom, kTo, mc, {},
+                                                    &pool);
+
+  MetricsRegistry registry;
+  obs::RunObserver observer{&registry, nullptr, nullptr};
+  McResult observed;
+  {
+    obs::ScopedObserver scoped(&observer);
+    observed = estimate_hitting_time(g, kFrom, kTo, mc, {}, &pool);
+  }
+  obs::drain_thread_counters(registry);
+
+  EXPECT_EQ(observed.stats.count(), unobserved.stats.count());
+  EXPECT_EQ(observed.ci.mean, unobserved.ci.mean);
+  EXPECT_EQ(observed.ci.half_width, unobserved.ci.half_width);
+  EXPECT_EQ(observed.censored, unobserved.censored);
+  EXPECT_EQ(observed.target_met, unobserved.target_met);
+
+  // Replay every reduced trial on its own stream: a single walk, so its
+  // token-steps are its rounds.
+  std::uint64_t expected_steps = 0;
+  for (std::uint64_t i = 0; i < observed.stats.count(); ++i) {
+    Rng rng = make_trial_rng(mc.seed, i);
+    expected_steps += sample_hitting_time(g, kFrom, kTo, rng).steps;
+  }
+  EXPECT_GT(expected_steps, 0u);
+  EXPECT_EQ(registry.value(Metric::kSteps), expected_steps);
+  EXPECT_EQ(registry.value(Metric::kRounds), expected_steps);
 }
 
 TEST(ObsGolden, BlockEngineExperimentIsByteIdenticalAndTracesTheSchedule) {

@@ -1,7 +1,7 @@
 // Units for the lane-sharded execution layer (determinism contract v3,
-// docs/ARCHITECTURE.md): the two ShardVisitTracker models, the round
-// barrier, the static team partitioner, and the thread-budget policy.
-// End-to-end shard/thread invariance of the engine itself lives in
+// docs/ARCHITECTURE.md): ShardedVisitTracker, the round barrier, the
+// static team partitioner, and the thread-budget policy. End-to-end
+// shard/thread invariance of the engine itself lives in
 // tests/test_engine.cpp.
 #include "walk/visit_tracker.hpp"
 
@@ -148,48 +148,6 @@ TEST(ShardedVisitTracker, ResetClearsEverything) {
   EXPECT_EQ(trk.upper_bound_visited(0, 0), 0u);
   EXPECT_EQ(trk.upper_bound_visited(1, 0), 0u);
   EXPECT_EQ(trk.merge_exact(), 0u);
-}
-
-// --- AtomicVisitTracker -----------------------------------------------------
-
-TEST(AtomicVisitTracker, OneWinnerPerBitMakesCountsExact) {
-  const Vertex n = 4096;
-  const unsigned shards = 4;
-  AtomicVisitTracker trk(n, shards);
-  // All shards hammer overlapping ranges concurrently; every bit must be
-  // won exactly once, so the winner counts sum to the union size.
-  std::vector<std::thread> team;
-  for (unsigned s = 0; s < shards; ++s) {
-    team.emplace_back([&trk, s, n] {
-      Rng rng(1000 + s);
-      for (int i = 0; i < 20000; ++i) {
-        trk.visit(s, static_cast<Vertex>(rng.uniform_below_wide(n / 2)));
-      }
-    });
-  }
-  for (auto& t : team) t.join();
-  std::uint64_t winners = 0;
-  std::uint64_t union_size = 0;
-  for (unsigned s = 0; s < shards; ++s) winners += trk.shard_visited(s);
-  for (Vertex v = 0; v < n; ++v) union_size += trk.visited(v) ? 1 : 0;
-  EXPECT_EQ(winners, union_size);
-  EXPECT_EQ(trk.total_visited(), union_size);
-}
-
-TEST(AtomicVisitTracker, SeedBitsAreNotReWon) {
-  AtomicVisitTracker trk(128, 2);
-  std::uint64_t words[2] = {(1ull << 7), 0};
-  trk.seed(words, 1);
-  EXPECT_FALSE(trk.visit(0, 7));  // seeded bit: never won by a shard
-  EXPECT_TRUE(trk.visit(1, 8));
-  EXPECT_EQ(trk.total_visited(), 2u);
-  trk.publish_shard(0, 0);
-  trk.publish_shard(0, 1);
-  EXPECT_EQ(trk.published_total(0), 2u);
-  EXPECT_EQ(trk.published_total(1), 1u);  // unpublished parity: seed only
-  std::uint64_t out[2] = {0, 0};
-  trk.copy_words_to(out);
-  EXPECT_EQ(out[0], (1ull << 7) | (1ull << 8));
 }
 
 // --- SpinBarrier ------------------------------------------------------------

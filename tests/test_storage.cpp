@@ -276,26 +276,23 @@ TEST(MwgIoErrors, IsARuntimeError) {
 // --- mmap-vs-in-core engine bit identity -------------------------------------
 
 std::vector<std::uint64_t> sample_steps(WalkEngineT<CsrSubstrate>& engine,
-                                        Vertex n, RngMode mode,
-                                        std::uint64_t seed) {
-  CoverOptions options;
-  options.rng_mode = mode;
+                                        Vertex n, std::uint64_t seed) {
   std::vector<std::uint64_t> steps;
   for (std::uint64_t trial = 0; trial < 6; ++trial) {
     Rng rng = make_trial_rng(seed, trial);
     const std::vector<Vertex> starts(4, static_cast<Vertex>(trial % n));
     engine.reset(starts);
-    const CoverSample sample = engine.run_until_visited(n, rng, options);
+    const CoverSample sample = engine.run_until_visited(n, rng);
     EXPECT_TRUE(sample.covered);
     steps.push_back(sample.steps);
   }
   return steps;
 }
 
-TEST(MappedEngine, BitIdenticalToInCoreBothRngModes) {
-  // One regular graph (margulis — lane mode takes the stride path) and one
-  // irregular (barbell — lane mode takes the staged pipeline), in both rng
-  // modes: the mapped file must reproduce the in-core engine byte for byte.
+TEST(MappedEngine, BitIdenticalToInCore) {
+  // One regular graph (margulis — the stride path) and one irregular
+  // (barbell — the staged pipeline): the mapped file must reproduce the
+  // in-core engine byte for byte.
   const Graph graphs[] = {make_margulis_expander(6), make_barbell(31)};
   for (const Graph& g : graphs) {
     TempFile file("identity.mwg");
@@ -303,11 +300,8 @@ TEST(MappedEngine, BitIdenticalToInCoreBothRngModes) {
     const MappedGraph mapped(file.path());
     WalkEngineT<CsrSubstrate> in_core{CsrSubstrate(g)};
     WalkEngineT<CsrSubstrate> off_disk{mapped.substrate()};
-    for (RngMode mode : {RngMode::kSharedLegacy, RngMode::kLane}) {
-      SCOPED_TRACE(static_cast<int>(mode));
-      EXPECT_EQ(sample_steps(in_core, g.num_vertices(), mode, 99),
-                sample_steps(off_disk, g.num_vertices(), mode, 99));
-    }
+    EXPECT_EQ(sample_steps(in_core, g.num_vertices(), 99),
+              sample_steps(off_disk, g.num_vertices(), 99));
   }
 }
 
@@ -316,21 +310,19 @@ TEST(MappedEngine, RunForStepsTokensMatch) {
   TempFile file("tokens.mwg");
   write_mwg(file.path(), g);
   const MappedGraph mapped(file.path());
-  for (RngMode mode : {RngMode::kSharedLegacy, RngMode::kLane}) {
-    WalkEngineT<CsrSubstrate> in_core{CsrSubstrate(g)};
-    WalkEngineT<CsrSubstrate> off_disk{mapped.substrate()};
-    const std::vector<Vertex> starts(8, 3);
-    Rng rng_a(5), rng_b(5);
-    in_core.reset(starts);
-    off_disk.reset(starts);
-    in_core.run_for_steps(200, rng_a, 0.0, nullptr, mode);
-    off_disk.run_for_steps(200, rng_b, 0.0, nullptr, mode);
-    const auto ta = in_core.tokens();
-    const auto tb = off_disk.tokens();
-    ASSERT_EQ(ta.size(), tb.size());
-    for (std::size_t i = 0; i < ta.size(); ++i) EXPECT_EQ(ta[i], tb[i]);
-    EXPECT_EQ(in_core.num_visited(), off_disk.num_visited());
-  }
+  WalkEngineT<CsrSubstrate> in_core{CsrSubstrate(g)};
+  WalkEngineT<CsrSubstrate> off_disk{mapped.substrate()};
+  const std::vector<Vertex> starts(8, 3);
+  Rng rng_a(5), rng_b(5);
+  in_core.reset(starts);
+  off_disk.reset(starts);
+  in_core.run_for_steps(200, rng_a);
+  off_disk.run_for_steps(200, rng_b);
+  const auto ta = in_core.tokens();
+  const auto tb = off_disk.tokens();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) EXPECT_EQ(ta[i], tb[i]);
+  EXPECT_EQ(in_core.num_visited(), off_disk.num_visited());
 }
 
 TEST(MappedEngine, StationaryCsrSamplingMatchesGraphSampling) {
@@ -347,10 +339,9 @@ TEST(MappedEngine, StationaryCsrSamplingMatchesGraphSampling) {
 
 // --- the registered experiments off a file -----------------------------------
 
-TEST(MwgExperiments, SpeedupByteIdenticalMappedVsInCoreBothModes) {
-  // The ISSUE acceptance contract: the mwg-speedup experiment body run
-  // from the file produces byte-identical results to the same graph built
-  // in memory — same seed, both rng modes.
+TEST(MwgExperiments, SpeedupByteIdenticalMappedVsInCore) {
+  // The mwg-speedup experiment body run from the file produces
+  // byte-identical results to the same graph built in memory, same seed.
   const Graph g = make_margulis_expander(6);
   TempFile file("exp.mwg");
   write_mwg(file.path(), g);
@@ -362,16 +353,11 @@ TEST(MwgExperiments, SpeedupByteIdenticalMappedVsInCoreBothModes) {
   params.kmax = 4;
   ThreadPool pool(2);
 
-  for (RngMode mode : {RngMode::kLane, RngMode::kSharedLegacy}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    CoverOptions cover;
-    cover.rng_mode = mode;
-    const ExperimentResult from_file = cli::run_mwg_speedup_on_substrate(
-        mapped.substrate(), "graph", params, pool, cover);
-    const ExperimentResult in_core = cli::run_mwg_speedup_on_substrate(
-        CsrSubstrate(g), "graph", params, pool, cover);
-    EXPECT_EQ(cli::render_json(from_file), cli::render_json(in_core));
-  }
+  const ExperimentResult from_file = cli::run_mwg_speedup_on_substrate(
+      mapped.substrate(), "graph", params, pool, CoverOptions{});
+  const ExperimentResult in_core = cli::run_mwg_speedup_on_substrate(
+      CsrSubstrate(g), "graph", params, pool, CoverOptions{});
+  EXPECT_EQ(cli::render_json(from_file), cli::render_json(in_core));
 }
 
 TEST(MwgExperiments, StartsByteIdenticalMappedVsInCore) {
@@ -385,16 +371,11 @@ TEST(MwgExperiments, StartsByteIdenticalMappedVsInCore) {
   params.trials = 10;
   params.k = 4;
   ThreadPool pool(2);
-  for (RngMode mode : {RngMode::kLane, RngMode::kSharedLegacy}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    CoverOptions cover;
-    cover.rng_mode = mode;
-    const ExperimentResult from_file = cli::run_mwg_starts_on_substrate(
-        mapped.substrate(), "graph", params, pool, cover);
-    const ExperimentResult in_core = cli::run_mwg_starts_on_substrate(
-        CsrSubstrate(g), "graph", params, pool, cover);
-    EXPECT_EQ(cli::render_json(from_file), cli::render_json(in_core));
-  }
+  const ExperimentResult from_file = cli::run_mwg_starts_on_substrate(
+      mapped.substrate(), "graph", params, pool, CoverOptions{});
+  const ExperimentResult in_core = cli::run_mwg_starts_on_substrate(
+      CsrSubstrate(g), "graph", params, pool, CoverOptions{});
+  EXPECT_EQ(cli::render_json(from_file), cli::render_json(in_core));
 }
 
 TEST(MwgExperiments, RegisteredRunnersWorkEndToEnd) {

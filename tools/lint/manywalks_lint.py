@@ -37,7 +37,7 @@ hold. Generic tooling cannot know them, so this checker does:
                             friends outside src/obs/, src/util/timer.hpp,
                             and bench/ — clock reads are fenced into the
                             observability layer so timing can never leak
-                            into a contract v2-v4 schedule decision
+                            into a contract v3-v5 schedule decision
                             (ARCHITECTURE.md, "Observability").
 
 Escape hatch (clang-tidy style, rule name required so escapes stay
@@ -341,15 +341,14 @@ class StrayAtomicRule(Rule):
     name = RULE_PREFIX + "stray-atomic"
     description = (
         "std::atomic / std::atomic_ref / std::atomic_flag outside "
-        "src/walk/visit_tracker.hpp and src/util/thread_pool.* — the "
-        "determinism contract v3 confines shared mutable state to the "
-        "tracker and the pool/barrier so every cross-thread interaction "
-        "stays inside the audited, TSan-covered replicated-control "
-        "protocol; ad-hoc atomics elsewhere reintroduce schedule-dependent "
-        "results"
+        "src/util/thread_pool.* — the determinism contract v3 confines "
+        "shared mutable state to the pool/barrier and the sharded "
+        "tracker's barrier-separated plain words, so every cross-thread "
+        "interaction stays inside the audited, TSan-covered "
+        "replicated-control protocol; ad-hoc atomics elsewhere reintroduce "
+        "schedule-dependent results"
     )
     EXEMPT = (
-        "src/walk/visit_tracker.hpp",
         "src/util/thread_pool.hpp",
         "src/util/thread_pool.cpp",
     )
@@ -370,11 +369,11 @@ class StrayAtomicRule(Rule):
             findings.append(
                 self._finding(
                     src, lineno, match.start() + 1,
-                    f"'std::{match.group(1)}' outside visit_tracker.hpp/"
-                    "thread_pool.*: shared mutable state must live in the "
-                    "audited tracker/pool layer (determinism contract v3); "
-                    "route cross-thread communication through "
-                    "ShardVisitTracker or the SpinBarrier protocol",
+                    f"'std::{match.group(1)}' outside thread_pool.*: shared "
+                    "mutable state must live in the audited pool layer "
+                    "(determinism contract v3); route cross-thread "
+                    "communication through ShardedVisitTracker's per-shard "
+                    "bitmaps or the SpinBarrier protocol",
                 )
             )
         return findings
@@ -424,7 +423,7 @@ class RawClockRule(Rule):
         "high_resolution_clock, clock_gettime, gettimeofday, clock()) "
         "outside src/obs/, src/util/timer.hpp, and bench/ — the "
         "observability layer owns every timestamp so timing can never "
-        "feed a walk/merge/block scheduling decision (the contract v2-v4 "
+        "feed a walk/merge/block scheduling decision (the contract v3-v5 "
         "inertness rule); measure with util/timer.hpp's Stopwatch or the "
         "obs:: sinks instead"
     )
@@ -450,7 +449,7 @@ class RawClockRule(Rule):
                     src, lineno, match.start() + 1,
                     "clock read outside src/obs/, src/util/timer.hpp, and "
                     "bench/: timestamps are fenced into the observability "
-                    "layer so timing can never alter a contract v2-v4 "
+                    "layer so timing can never alter a contract v3-v5 "
                     "schedule; use util/timer.hpp or an obs:: sink",
                 )
             )
