@@ -1,8 +1,6 @@
-// P3 — ablation benchmarks for the engine's design choices (called out in
-// DESIGN.md):
-//   1. epoch-stamped VisitTracker vs clearing a byte array per trial;
-//   2. Lemire nearly-divisionless bounded sampling vs modulo reduction;
-//   3. gather-style distribution evolution (CSR rows) vs dense matvec.
+// P3 — ablation benchmarks for the engine's design choices:
+//   1. Lemire nearly-divisionless bounded sampling vs modulo reduction;
+//   2. gather-style distribution evolution (CSR rows) vs dense matvec.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,57 +8,12 @@
 #include "graph/generators.hpp"
 #include "linalg/markov.hpp"
 #include "walk/cover.hpp"
-#include "walk/visit_tracker.hpp"
-#include "walk/walker.hpp"
 
 namespace {
 
 using namespace manywalks;
 
-// --- 1. visit tracking -------------------------------------------------
-
-/// Reference implementation: clear an n-byte array every trial.
-struct ClearingTracker {
-  explicit ClearingTracker(Vertex n) : seen(n, 0) {}
-  void reset() { std::fill(seen.begin(), seen.end(), 0); }
-  bool visit(Vertex v) {
-    if (seen[v]) return false;
-    seen[v] = 1;
-    ++count;
-    return true;
-  }
-  std::vector<std::uint8_t> seen;
-  Vertex count = 0;
-};
-
-void BM_VisitTrackerEpoch(benchmark::State& state) {
-  const auto n = static_cast<Vertex>(state.range(0));
-  VisitTracker tracker(n);
-  Rng rng(1);
-  for (auto _ : state) {
-    tracker.reset();
-    // Short trial: 64 visits — the regime where reset cost matters.
-    for (int i = 0; i < 64; ++i) {
-      benchmark::DoNotOptimize(tracker.visit(rng.uniform_below(n)));
-    }
-  }
-}
-BENCHMARK(BM_VisitTrackerEpoch)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_VisitTrackerClearing(benchmark::State& state) {
-  const auto n = static_cast<Vertex>(state.range(0));
-  ClearingTracker tracker(n);
-  Rng rng(1);
-  for (auto _ : state) {
-    tracker.reset();
-    for (int i = 0; i < 64; ++i) {
-      benchmark::DoNotOptimize(tracker.visit(rng.uniform_below(n)));
-    }
-  }
-}
-BENCHMARK(BM_VisitTrackerClearing)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
-
-// --- 2. bounded sampling -----------------------------------------------
+// --- 1. bounded sampling -----------------------------------------------
 
 void BM_BoundedLemire(benchmark::State& state) {
   Rng rng(2);
@@ -83,7 +36,7 @@ void BM_BoundedModulo(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedModulo);
 
-// --- 3. distribution evolution ------------------------------------------
+// --- 2. distribution evolution ------------------------------------------
 
 void BM_EvolveCsrGather(benchmark::State& state) {
   const Graph g = make_grid_2d(static_cast<Vertex>(state.range(0)));

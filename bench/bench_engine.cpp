@@ -1,8 +1,9 @@
 // P1 — google-benchmark suite for the simulation engine itself: raw walk
 // stepping throughput per family, the seed per-call cover path vs the
-// batched WalkEngine hot path (steps/second), k-walk round cost, and
-// Monte-Carlo thread scaling. These numbers justify the experiment
-// harness's feasible scales (steps/second on a laptop).
+// batched WalkEngine hot path (steps/second), k-walk round cost,
+// single-walk hitting samples, and Monte-Carlo thread scaling. These
+// numbers justify the experiment harness's feasible scales (steps/second
+// on a laptop).
 //
 // The binary has its own main: before running benchmarks it
 //   1. verifies that the BENCH_4 baseline (SharedStreamWalk, the scalar
@@ -41,10 +42,10 @@
 #include "graph/generators.hpp"
 #include "graph/substrate.hpp"
 #include "mc/estimators.hpp"
+#include "reference_walks.hpp"
 #include "walk/cover.hpp"
 #include "walk/engine.hpp"
-#include "walk/visit_tracker.hpp"
-#include "walk/walker.hpp"
+#include "walk/hitting.hpp"
 
 namespace {
 
@@ -95,7 +96,7 @@ CoverSample seed_path_cover(const Graph& g, std::span<const Vertex> starts,
 // ---------------------------------------------------------------------------
 // The BENCH_4 baseline: the scalar shared-stream round loop over a
 // substrate. All k tokens consume ONE caller stream token by token in
-// walker.hpp order — one uniform_below(degree) per step — committing into
+// step_walk order — one uniform_below(degree) per step — committing into
 // a local word bitmap, with the substrate, token array and visited count
 // held in locals across the loop. The stream dependency serializes the
 // round: token i+1's draw waits on token i's rng.next(), which is what the
@@ -298,6 +299,44 @@ void BM_CoverSampleCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoverSampleCycle);
+
+/// Single-walk hitting-time samples, the path of estimate_hitting_time and
+/// of table1's sampled h_max*: a regular CSR graph (stride round), an
+/// irregular one (staged round), and a random graph whose short hitting
+/// times expose the per-sample set-up. items/second == walk steps/second.
+void BM_HittingSample(benchmark::State& state, const Graph& g, Vertex from,
+                      Vertex to) {
+  Rng rng(5);
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    const HitSample sample = sample_hitting_time(g, from, to, rng);
+    benchmark::DoNotOptimize(sample.steps);
+    steps += sample.steps;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+}
+
+constexpr Vertex kHitN = 4096;
+
+void BM_HittingSampleCycle(benchmark::State& state) {
+  static const Graph g = make_cycle(kHitN);
+  BM_HittingSample(state, g, 0, kHitN / 2);
+}
+void BM_HittingSampleLollipop(benchmark::State& state) {
+  static const Graph g = make_lollipop(kHitN);
+  BM_HittingSample(state, g, kHitN - 1, 0);  // path end into the clique
+}
+void BM_HittingSampleErdosRenyi(benchmark::State& state) {
+  static const Graph g = [] {
+    Rng rng(7);
+    return make_erdos_renyi_connected(kHitN, 12.0 / kHitN, rng);
+  }();
+  BM_HittingSample(state, g, 0, 1);
+}
+
+BENCHMARK(BM_HittingSampleCycle);
+BENCHMARK(BM_HittingSampleLollipop);
+BENCHMARK(BM_HittingSampleErdosRenyi);
 
 /// Monte-Carlo harness thread scaling: same trial budget, varying workers.
 void BM_McThreadScaling(benchmark::State& state) {

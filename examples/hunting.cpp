@@ -16,32 +16,38 @@
 #include "mc/monte_carlo.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
-#include "walk/walker.hpp"
+#include "walk/hitting.hpp"
 
 namespace {
 
 using namespace manywalks;
 
-/// Rounds until some hunter occupies the prey's vertex. If `prey_moves`,
-/// the prey performs its own simple random walk (simultaneous moves; a
-/// capture is checked after each full round, and a hunter crossing the
-/// prey's old position does not count — classic pursuit convention).
-std::uint64_t capture_time(const Graph& g, Vertex camp, unsigned k,
-                           Vertex prey_start, bool prey_moves, Rng& rng,
-                           std::uint64_t cap) {
+/// Rounds until some hunter occupies the prey's vertex. A hiding prey
+/// makes this the k-walk hitting time. A moving prey performs its own
+/// simple random walk (simultaneous moves; a capture is checked after each
+/// full round, and a hunter crossing the prey's old position does not
+/// count — classic pursuit convention).
+HitSample capture_time(const Graph& g, Vertex camp, unsigned k, Vertex prey,
+                       bool prey_moves, Rng& rng, std::uint64_t cap) {
   std::vector<Vertex> hunters(k, camp);
-  Vertex prey = prey_start;
-  if (prey == camp) return 0;
+  if (!prey_moves) {
+    HitOptions hit;
+    hit.step_cap = cap;
+    return sample_multi_hitting_time(g, hunters, prey, rng, hit);
+  }
+  const auto step = [&g, &rng](Vertex v) {
+    return g.neighbor(v, rng.uniform_below(g.degree(v)));
+  };
   for (std::uint64_t t = 1; t <= cap; ++t) {
-    if (prey_moves) prey = step_walk(g, prey, rng);
+    prey = step(prey);
     bool caught = false;
     for (Vertex& h : hunters) {
-      h = step_walk(g, h, rng);
+      h = step(h);
       caught = caught || h == prey;
     }
-    if (caught) return t;
+    if (caught) return HitSample{t, true};
   }
-  return cap;
+  return HitSample{cap, false};
 }
 
 McResult measure(const Graph& g, Vertex camp, unsigned k, bool prey_moves,
@@ -56,8 +62,9 @@ McResult measure(const Graph& g, Vertex camp, unsigned k, bool prey_moves,
         Vertex prey = rng.uniform_below(n);
         while (prey == camp) prey = rng.uniform_below(n);
         const std::uint64_t cap = 200ULL * n;
-        const auto rounds = capture_time(g, camp, k, prey, prey_moves, rng, cap);
-        return TrialOutcome{static_cast<double>(rounds), rounds == cap};
+        const HitSample capture =
+            capture_time(g, camp, k, prey, prey_moves, rng, cap);
+        return TrialOutcome{static_cast<double>(capture.steps), !capture.hit};
       },
       mc);
 }

@@ -18,27 +18,11 @@
 #include "mc/monte_carlo.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
-#include "walk/walker.hpp"
+#include "walk/hitting.hpp"
 
 namespace {
 
 using namespace manywalks;
-
-/// Rounds until any of k walkers starting at `query_origin` reaches one of
-/// the `replicas` (bit vector).
-std::uint64_t search_latency(const Graph& g, Vertex query_origin, unsigned k,
-                             const std::vector<bool>& is_replica, Rng& rng,
-                             std::uint64_t cap) {
-  if (is_replica[query_origin]) return 0;
-  std::vector<Vertex> walkers(k, query_origin);
-  for (std::uint64_t t = 1; t <= cap; ++t) {
-    for (Vertex& w : walkers) {
-      w = step_walk(g, w, rng);
-      if (is_replica[w]) return t;
-    }
-  }
-  return cap;
-}
 
 McResult measure(const Graph& g, unsigned k, double replica_fraction,
                  std::uint64_t trials, std::uint64_t seed) {
@@ -62,10 +46,14 @@ McResult measure(const Graph& g, unsigned k, double replica_fraction,
         }
         Vertex origin = rng.uniform_below(n);
         while (is_replica[origin]) origin = rng.uniform_below(n);
-        const std::uint64_t cap = 100ULL * n;
-        const std::uint64_t latency =
-            search_latency(g, origin, k, is_replica, rng, cap);
-        return TrialOutcome{static_cast<double>(latency), latency == cap};
+        // Query latency: rounds until any of the k walkers from the origin
+        // lands on a replica.
+        const std::vector<Vertex> walkers(k, origin);
+        HitOptions hit;
+        hit.step_cap = 100ULL * n;
+        const HitSample latency =
+            sample_multi_hitting_to_set(g, walkers, is_replica, rng, hit);
+        return TrialOutcome{static_cast<double>(latency.steps), !latency.hit};
       },
       mc);
 }

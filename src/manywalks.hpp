@@ -37,4 +37,3 @@
 #include "walk/hitting.hpp"
 #include "walk/sampling.hpp"
 #include "walk/visit_tracker.hpp"
-#include "walk/walker.hpp"

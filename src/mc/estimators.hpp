@@ -2,7 +2,7 @@
 // and the speed-up S^k = C / C^k with propagated uncertainty.
 //
 // RNG streams: every cover estimator funnels through the cover.hpp
-// samplers and so the pipelined lane kernel (determinism contract v5).
+// samplers and so the pipelined lane kernel (determinism contract v6).
 // Trial i under master seed s sees make_trial_rng(s, i), the engine
 // derives its per-token streams from one draw of that trial stream, and
 // results reduce in trial order, so estimates stay bit-identical across

@@ -13,7 +13,7 @@
 //
 // That single-writer discipline is what makes the layer observably inert:
 // no locks or fences appear in kernel loops, so instrumentation cannot
-// perturb a contract v3-v5 schedule. The concurrent path is WorkerCounters:
+// perturb a contract v3-v6 schedule. The concurrent path is WorkerCounters:
 // each worker owns one, fills it with plain increments, and the coordinator
 // merges them in worker-index order after the join — the join is the
 // synchronization, not the registry.

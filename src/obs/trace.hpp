@@ -10,7 +10,7 @@
 // This file and progress.hpp are the only places outside src/util/timer.hpp
 // and bench/ allowed to touch <chrono>: manywalks-lint's raw-clock rule
 // fences clock reads into the observability layer so timing can never leak
-// into a contract v3-v5 schedule decision.
+// into a contract v3-v6 schedule decision.
 #pragma once
 
 #include <chrono>

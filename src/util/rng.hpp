@@ -12,7 +12,7 @@
 //   * Lemire's nearly-divisionless bounded sampling (uniform_below, plus
 //     the full-word uniform_below_wide used by the lane walk kernels).
 //   * LaneRngs — a bank of per-lane streams derived from one master seed,
-//     the basis of the walk engine's sampling (determinism contract v5,
+//     the basis of the walk engine's sampling (determinism contract v6,
 //     docs/ARCHITECTURE.md).
 //
 // This header is the only place allowed to construct raw generators: the
@@ -111,11 +111,11 @@ class Xoshiro256PlusPlus {
   /// method: one multiply in the common case, unbiased.
   ///
   /// Deliberately consumes only the LOW 32 bits of each 64-bit draw: this
-  /// is the per-step draw of the walker.hpp samplers (hitting times), of
-  /// graph generation and of the analyzer's probes, whose streams existing
-  /// results are pinned to, so its mapping can never change. New code that
-  /// is free to pick its own stream should prefer uniform_below_wide, whose
-  /// rejection re-draws are ~2^32x rarer at large bounds.
+  /// is the draw of graph generation and of the analyzer's probes, whose
+  /// streams existing results are pinned to, so its mapping can never
+  /// change. New code that is free to pick its own stream should prefer
+  /// uniform_below_wide, whose rejection re-draws are ~2^32x rarer at large
+  /// bounds.
   std::uint32_t uniform_below(std::uint32_t bound) noexcept {
     std::uint64_t x = next() & 0xffffffffULL;
     std::uint64_t m = x * bound;
@@ -229,9 +229,10 @@ inline Rng make_trial_rng(std::uint64_t master_seed, std::uint64_t index) noexce
 
 /// Derives the reproducible per-lane generator of the walk engine: lane
 /// `lane` under lane master `master` always sees the same stream,
-/// independent of thread count and scheduling (determinism contract v5). Same mixing shape as make_trial_rng but with a distinct
-/// additive salt, so a lane stream can never alias a trial stream derived
-/// from the same 64-bit value.
+/// independent of thread count and scheduling (determinism contract v6).
+/// Same mixing shape as make_trial_rng but with a distinct additive salt,
+/// so a lane stream can never alias a trial stream derived from the same
+/// 64-bit value.
 inline Rng make_lane_rng(std::uint64_t master, std::uint64_t lane) noexcept {
   return Rng(mix64(master ^ (lane * 0x9e3779b97f4a7c15ULL + 0xd1b54a32d192ed03ULL)));
 }

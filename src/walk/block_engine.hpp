@@ -16,7 +16,7 @@
 // (graph, k, seed, laziness, step_cap). The memory budget shapes ONLY
 // which extents stay cached, never what is executed when, so runs are
 // bit-identical at every budget; and because each lane's trajectory is a
-// pure function of its own RNG stream (contract v5) and visited-set
+// pure function of its own RNG stream (contract v6) and visited-set
 // updates commute, the results are bit-identical to the IN-CORE lane
 // engine for the same seed:
 //

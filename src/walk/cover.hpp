@@ -10,7 +10,7 @@
 // we test against, e.g. C(cycle) = n(n-1)/2.)
 //
 // Every sampler here runs the engine's per-token lane streams (determinism
-// contract v5).
+// contract v6).
 #pragma once
 
 #include <cstdint>

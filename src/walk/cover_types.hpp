@@ -41,7 +41,7 @@ struct CoverOptions {
 };
 
 /// Exactly CoverOptions{}: every walk runs per-token lane streams
-/// (determinism contract v5). Kept only because perfbench/probe.cpp
+/// (determinism contract v6). Kept only because perfbench/probe.cpp
 /// calls it; new code writes CoverOptions{}.
 constexpr CoverOptions lane_cover_options() noexcept { return {}; }
 

@@ -1,16 +1,16 @@
-// Batched k-walk engine: the hot path behind every cover-time sampler.
+// Batched k-walk engine: the hot path behind every cover-time and
+// hitting-time sampler.
 //
-// The per-step helpers in walker.hpp re-derive degree and neighbor spans
-// through the Graph accessors on every call. WalkEngineT instead binds a
-// Substrate (graph/substrate.hpp) once — the CSR arrays for an explicit
-// Graph, or a closed-form adjacency for the implicit families — and then
-// advances ALL k tokens per round with a register-resident substrate copy,
-// a loop-hoisted laziness branch, and a word-level visited scratch that
-// stays cache-resident on large graphs. On an implicit substrate the
-// n/8-byte scratch is the ONLY O(n) allocation, which is what lets the
-// giant-graph experiments run at n = 10^7–10^8 with no CSR ever built.
+// WalkEngineT binds a Substrate (graph/substrate.hpp) once — the CSR arrays
+// for an explicit Graph, or a closed-form adjacency for the implicit
+// families — and then advances ALL k tokens per round with a
+// register-resident substrate copy, a loop-hoisted laziness branch, and a
+// word-level visited scratch that stays cache-resident on large graphs. On
+// an implicit substrate the n/8-byte scratch is the ONLY O(n) allocation,
+// which is what lets the giant-graph experiments run at n = 10^7–10^8 with
+// no CSR ever built.
 //
-// Sampling (determinism contract v5, docs/ARCHITECTURE.md "RNG scheme"):
+// Sampling (determinism contract v6, docs/ARCHITECTURE.md "RNG scheme"):
 // each token owns an independent stream derived from a single 64-bit lane
 // master (drawn once from the caller's stream at the first run after
 // reset(); make_lane_rng(master, i) for lane i). Independent lanes break
@@ -29,6 +29,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -333,6 +334,41 @@ class WalkEngineT {
       tracker_.visit(s);
     }
     lanes_seeded_ = false;
+  }
+
+  /// Hitting-time setup: places the tokens like reset() (range-checked,
+  /// fresh lanes), then marks every vertex EXCEPT `targets` visited — the
+  /// starts included, so a start on a target stays unmarked. The visited
+  /// count can then grow only when a token lands on a target, and
+  /// run_until_visited(num_visited() + 1, rng, options) runs the k-walk
+  /// hitting sampler on the lane kernels: rounds until the first round in
+  /// which some token stands on a target (lazy stays included), or the cap.
+  /// `targets` is any range of vertices (repeats allowed). A member
+  /// template, so the explicit instantiations in engine.cpp do not compile
+  /// it: even a small extra member there shifts GCC's inlining choices for
+  /// the kernels (see the note above commit_visit).
+  template <class Targets>
+  void reset_for_hitting(std::span<const Vertex> starts,
+                         const Targets& targets) {
+    MW_REQUIRE(!std::ranges::empty(targets), "target set is empty");
+    reset(starts);
+    std::uint64_t* const words = tracker_.words();
+    const std::size_t num_words = (std::size_t{num_vertices_} + 63) / 64;
+    std::fill(words, words + num_words, ~std::uint64_t{0});
+    if (const unsigned tail = num_vertices_ & 63; tail != 0) {
+      words[num_words - 1] = (std::uint64_t{1} << tail) - 1;
+    }
+    Vertex visited = num_vertices_;
+    for (const Vertex v : targets) {
+      MW_REQUIRE(v < num_vertices_, "target vertex out of range");
+      std::uint64_t& word = words[v >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+      if ((word & bit) != 0) {
+        word &= ~bit;
+        --visited;
+      }
+    }
+    tracker_.set_num_visited(visited);
   }
 
   /// Advances all tokens round by round until `target` distinct vertices

@@ -1,19 +1,23 @@
 // Plain per-step reference walkers, the oracles of the walk engine tests.
 //
 //   * LaneReferenceWalk<S> spells out the engine's sampling contract
-//     (determinism contract v5, docs/ARCHITECTURE.md "RNG scheme") one
+//     (determinism contract v6, docs/ARCHITECTURE.md "RNG scheme") one
 //     token step at a time: a lane master drawn once from the caller's
 //     stream, make_lane_rng(master, i) for lane i, a uniform01 draw before
 //     the neighbor draw iff laziness > 0, lane_neighbor_index(lane, degree)
 //     for the neighbor, and a std::vector<bool> visited set. The engine's
 //     pipelined, stride, hoisted-draw and lane-major kernels must all
-//     reproduce it exactly.
+//     reproduce it exactly, for cover runs and hitting runs alike.
 //   * shared_stream_cover is the other classic way to drive k walks: all
-//     tokens consume ONE stream token by token (walker.hpp order). Its
+//     tokens consume ONE stream token by token (step_walk order). Its
 //     samples differ from the engine's trial by trial, but the cover-time
 //     DISTRIBUTION is the same — the baseline of the distribution tests.
+//   * step_walk / step_walk_lazy (one shared-stream step) and the
+//     epoch-stamped VisitTracker are that baseline's building blocks; the
+//     benchmarks' shared-stream cover loop uses them too.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -21,10 +25,63 @@
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 #include "walk/cover_types.hpp"
-#include "walk/visit_tracker.hpp"
-#include "walk/walker.hpp"
+#include "walk/hitting.hpp"
 
 namespace manywalks {
+
+/// One step of the simple random walk on the shared stream: uniform over
+/// the adjacency arcs of v (so parallel edges weight their endpoint
+/// proportionally and a self loop is a 1/deg chance of staying).
+inline Vertex step_walk(const Graph& g, Vertex v, Rng& rng) {
+  return g.neighbor(v, rng.uniform_below(g.degree(v)));
+}
+
+/// Lazy variant: stays put with probability `laziness`, otherwise steps.
+inline Vertex step_walk_lazy(const Graph& g, Vertex v, Rng& rng,
+                             double laziness) {
+  if (laziness > 0.0 && rng.uniform01() < laziness) return v;
+  return step_walk(g, v, rng);
+}
+
+/// Visited set with O(1) reset for repeated trials: each vertex stores the
+/// epoch of its last visit and reset() just bumps the epoch.
+class VisitTracker {
+ public:
+  explicit VisitTracker(Vertex num_vertices)
+      : stamp_(num_vertices, 0), epoch_(0) {
+    reset();
+  }
+
+  /// Forgets all visits in O(1) (amortized; a full clear happens only on
+  /// 32-bit epoch wrap-around).
+  void reset() {
+    if (epoch_ == UINT32_MAX) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 0;
+    }
+    ++epoch_;
+    num_visited_ = 0;
+  }
+
+  /// Marks v visited; returns true on first visit this epoch.
+  bool visit(Vertex v) {
+    if (stamp_[v] == epoch_) return false;
+    stamp_[v] = epoch_;
+    ++num_visited_;
+    return true;
+  }
+
+  bool visited(Vertex v) const { return stamp_[v] == epoch_; }
+
+  Vertex num_visited() const { return num_visited_; }
+  Vertex num_vertices() const { return static_cast<Vertex>(stamp_.size()); }
+  bool all_visited() const { return num_visited_ == num_vertices(); }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_;
+  Vertex num_visited_ = 0;
+};
 
 template <class S>
 class LaneReferenceWalk {
@@ -52,6 +109,30 @@ class LaneReferenceWalk {
       if (num_visited_ >= target) {
         sample.steps = t;
         sample.covered = true;
+        return sample;
+      }
+    }
+    sample.steps = options.step_cap;
+    return sample;
+  }
+
+  /// Rounds until the first round after which some token stands on a
+  /// target (`in_target[v]`), or the cap. There is no round-0 check: a
+  /// start on a target counts only once a later round lands there again,
+  /// which is the return time when the start is the only target.
+  HitSample run_until_hit(const std::vector<bool>& in_target, Rng& rng,
+                          const HitOptions& options = {}) {
+    HitSample sample;
+    if (options.step_cap == 0) return sample;
+    seed_lanes(rng);
+    std::uint64_t t = 0;
+    while (t < options.step_cap) {
+      ++t;
+      round(options.laziness, nullptr);
+      if (std::ranges::any_of(tokens_,
+                              [&](Vertex v) { return in_target[v]; })) {
+        sample.steps = t;
+        sample.hit = true;
         return sample;
       }
     }
@@ -108,7 +189,7 @@ class LaneReferenceWalk {
 };
 
 /// One k-walk cover sample with every token drawing from the single stream
-/// `rng`, token by token in walker.hpp order.
+/// `rng`, token by token in step_walk order.
 inline CoverSample shared_stream_cover(const Graph& g,
                                        std::span<const Vertex> starts,
                                        Vertex target, Rng& rng,

@@ -7,9 +7,9 @@
 
 #include "graph/generators.hpp"
 #include "linalg/spectral.hpp"
+#include "reference_walks.hpp"
 #include "theory/bounds.hpp"
 #include "util/rng.hpp"
-#include "walk/walker.hpp"
 
 namespace manywalks {
 namespace {

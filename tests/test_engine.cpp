@@ -10,6 +10,7 @@
 #include "reference_walks.hpp"
 #include "util/thread_pool.hpp"
 #include "walk/cover.hpp"
+#include "walk/hitting.hpp"
 
 namespace manywalks {
 namespace {
@@ -179,6 +180,104 @@ TEST(LaneOracle, RunForStepsMatchesOnEverySubstrateKind) {
     expect_steps_match_lane_reference(CsrSubstrate(barbell), laziness);
     expect_steps_match_lane_reference(CsrSubstrate(margulis), laziness);
   }
+}
+
+// --- hitting samplers on the lane engine ---------------------------------------
+
+/// Runs one hitting sampler and the lane reference's run_until_hit on the
+/// same trial streams: steps, hit flag and the caller's rng state must all
+/// match exactly.
+template <class Sampler>
+void expect_hit_matches_lane_reference(const Graph& g,
+                                       std::span<const Vertex> starts,
+                                       const std::vector<bool>& in_target,
+                                       const HitOptions& options,
+                                       Sampler sampler) {
+  for (std::uint64_t trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(testing::Message() << "k=" << starts.size()
+                                    << " trial=" << trial);
+    Rng ref_rng = make_trial_rng(0x417ULL, trial);
+    Rng eng_rng = make_trial_rng(0x417ULL, trial);
+    LaneReferenceWalk<CsrSubstrate> reference(CsrSubstrate(g), starts);
+    const HitSample expected =
+        reference.run_until_hit(in_target, ref_rng, options);
+    const HitSample actual = sampler(eng_rng);
+    ASSERT_EQ(expected.steps, actual.steps);
+    ASSERT_EQ(expected.hit, actual.hit);
+    ASSERT_EQ(ref_rng.state(), eng_rng.state());
+  }
+}
+
+/// All four hitting samplers on `g`: the k-walk and target-set samplers
+/// for k in {1, 3, 16}, single-walk hitting and return time. The targets
+/// avoid every start, so no sampler takes its round-0 exit.
+void expect_hitting_matches_lane_reference(const Graph& g,
+                                           const HitOptions& options = {}) {
+  const Vertex n = g.num_vertices();
+  for (const unsigned k : {1u, 3u, 16u}) {
+    const std::vector<Vertex> starts = spread(k, n);
+    std::vector<bool> is_start(n, false);
+    for (const Vertex s : starts) is_start[s] = true;
+    std::vector<Vertex> off_start;  // descending
+    for (Vertex v = n; v-- > 0;) {
+      if (!is_start[v]) off_start.push_back(v);
+    }
+    ASSERT_GE(off_start.size(), 3u);
+    const Vertex target = off_start.front();
+    std::vector<bool> single(n, false);
+    single[target] = true;
+    std::vector<bool> set(n, false);
+    set[off_start.front()] = set[off_start[off_start.size() / 2]] =
+        set[off_start.back()] = true;
+    expect_hit_matches_lane_reference(g, starts, single, options,
+                                      [&](Rng& rng) {
+                                        return sample_multi_hitting_time(
+                                            g, starts, target, rng, options);
+                                      });
+    expect_hit_matches_lane_reference(g, starts, set, options, [&](Rng& rng) {
+      return sample_multi_hitting_to_set(g, starts, set, rng, options);
+    });
+  }
+  const Vertex from[1] = {0};
+  std::vector<bool> to(n, false);
+  to[n - 1] = true;
+  expect_hit_matches_lane_reference(g, from, to, options, [&](Rng& rng) {
+    return sample_hitting_time(g, 0, n - 1, rng, options);
+  });
+  std::vector<bool> home(n, false);
+  home[0] = true;
+  expect_hit_matches_lane_reference(g, from, home, options, [&](Rng& rng) {
+    return sample_return_time(g, 0, rng, options);
+  });
+}
+
+TEST(LaneOracle, HittingOnIrregularCsrTakesTheStagedPipeline) {
+  const Graph lollipop = make_lollipop(24);
+  ASSERT_EQ(CsrSubstrate(lollipop).regular_stride(), 0u);
+  expect_hitting_matches_lane_reference(lollipop);
+}
+
+TEST(LaneOracle, HittingOnRegularCsrTakesTheStridePath) {
+  const Graph odd_cycle = make_cycle(33);
+  const Graph margulis = make_margulis_expander(8);
+  ASSERT_EQ(CsrSubstrate(odd_cycle).regular_stride(), 2u);
+  ASSERT_EQ(CsrSubstrate(margulis).regular_stride(), 8u);
+  expect_hitting_matches_lane_reference(odd_cycle);
+  expect_hitting_matches_lane_reference(margulis);
+}
+
+TEST(LaneOracle, HittingLazyWalksMatch) {
+  HitOptions lazy;
+  lazy.laziness = 0.25;
+  expect_hitting_matches_lane_reference(make_lollipop(24), lazy);
+  expect_hitting_matches_lane_reference(make_margulis_expander(8), lazy);
+}
+
+TEST(LaneOracle, HittingCappedRunsCensorAtTheCap) {
+  HitOptions capped;
+  capped.step_cap = 3;
+  expect_hitting_matches_lane_reference(make_lollipop(24), capped);
+  expect_hitting_matches_lane_reference(make_cycle(33), capped);
 }
 
 // --- engine contracts ------------------------------------------------------------

@@ -6,10 +6,10 @@
 #include <stdexcept>
 
 #include "graph/generators.hpp"
+#include "reference_walks.hpp"
 #include "theory/exact.hpp"
 #include "util/rng.hpp"
 #include "walk/cover.hpp"
-#include "walk/walker.hpp"
 
 namespace manywalks {
 namespace {

@@ -1,4 +1,4 @@
-// The lane-RNG layer of determinism contract v5 (util/rng.hpp LaneRngs /
+// The lane-RNG layer of determinism contract v6 (util/rng.hpp LaneRngs /
 // make_lane_rng / uniform_below_wide / lane_neighbor_index, and the walk
 // engine's lane kernels):
 //   * lane streams are deterministic, pairwise distinct across 10^4 lanes,

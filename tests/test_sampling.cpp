@@ -210,6 +210,18 @@ TEST(HittingToSet, MaskSizeMismatchThrows) {
                std::invalid_argument);
 }
 
+TEST(HittingToSet, EmptySetThrows) {
+  // No vertex can ever be hit; the cap keeps a regression from hanging.
+  const Graph g = make_cycle(5);
+  const std::vector<Vertex> starts = {0};
+  const std::vector<bool> empty(5, false);
+  HitOptions options;
+  options.step_cap = 10;
+  Rng rng(11);
+  EXPECT_THROW(sample_multi_hitting_to_set(g, starts, empty, rng, options),
+               std::invalid_argument);
+}
+
 TEST(HittingToSet, CapCensors) {
   const Graph g = make_cycle(101);
   std::vector<bool> target(101, false);

@@ -1,13 +1,12 @@
 #include "walk/cover.hpp"
 #include "walk/hitting.hpp"
-#include "walk/visit_tracker.hpp"
-#include "walk/walker.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "reference_walks.hpp"
 
 namespace manywalks {
 namespace {
@@ -260,6 +259,21 @@ TEST(SampleHittingTime, CapCensors) {
   const auto s = sample_hitting_time(g, 0, 50, rng, options);
   EXPECT_FALSE(s.hit);
   EXPECT_EQ(s.steps, 5u);
+}
+
+TEST(SampleHittingTime, LazinessOutsideUnitIntervalThrows) {
+  // laziness 1 would never move; the cap keeps a regression from hanging.
+  const Graph g = make_cycle(9);
+  for (const double laziness : {-0.5, 1.0, 1.5}) {
+    HitOptions options;
+    options.laziness = laziness;
+    options.step_cap = 10;
+    Rng rng(23);
+    EXPECT_THROW(sample_hitting_time(g, 0, 4, rng, options),
+                 std::invalid_argument);
+    EXPECT_THROW(sample_return_time(g, 0, rng, options),
+                 std::invalid_argument);
+  }
 }
 
 TEST(SampleMultiHittingTime, TokenOnTargetIsZero) {

@@ -37,7 +37,7 @@ hold. Generic tooling cannot know them, so this checker does:
                             friends outside src/obs/, src/util/timer.hpp,
                             and bench/ — clock reads are fenced into the
                             observability layer so timing can never leak
-                            into a contract v3-v5 schedule decision
+                            into a contract v3-v6 schedule decision
                             (ARCHITECTURE.md, "Observability").
 
 Escape hatch (clang-tidy style, rule name required so escapes stay
@@ -423,7 +423,7 @@ class RawClockRule(Rule):
         "high_resolution_clock, clock_gettime, gettimeofday, clock()) "
         "outside src/obs/, src/util/timer.hpp, and bench/ — the "
         "observability layer owns every timestamp so timing can never "
-        "feed a walk/merge/block scheduling decision (the contract v3-v5 "
+        "feed a walk/merge/block scheduling decision (the contract v3-v6 "
         "inertness rule); measure with util/timer.hpp's Stopwatch or the "
         "obs:: sinks instead"
     )
@@ -449,7 +449,7 @@ class RawClockRule(Rule):
                     src, lineno, match.start() + 1,
                     "clock read outside src/obs/, src/util/timer.hpp, and "
                     "bench/: timestamps are fenced into the observability "
-                    "layer so timing can never alter a contract v3-v5 "
+                    "layer so timing can never alter a contract v3-v6 "
                     "schedule; use util/timer.hpp or an obs:: sink",
                 )
             )
