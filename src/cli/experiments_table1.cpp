@@ -33,13 +33,13 @@ ExperimentResult run_table1(const ExperimentParams& params, ThreadPool& pool) {
       3.0, std::floor(std::log(static_cast<double>(target_n)))));
   const std::vector<unsigned> ks = {2, log_n};
 
-  std::vector<Table1Row> rows;
+  std::vector<FamilyInstance> instances;
   for (GraphFamily family : table1_families()) {
-    const FamilyInstance instance =
-        make_family_instance(family, target_n, seed);
-    std::cerr << "[table1] measuring " << instance.name << "...\n";
-    rows.push_back(run_table1_row(instance, ks, options, &pool));
+    instances.push_back(make_family_instance(family, target_n, seed));
+    std::cerr << "[table1] measuring " << instances.back().name << "...\n";
   }
+  const std::vector<Table1Row> rows =
+      run_table1_rows(instances, ks, options, pool);
 
   ExperimentResult result;
   push_common_params(result, seed, params.full, target_n, target_trials,

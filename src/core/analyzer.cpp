@@ -42,7 +42,7 @@ HmaxEstimate measure_h_max(const Graph& g, const McOptions& mc,
   MW_REQUIRE(n >= 2, "h_max needs n >= 2");
   HmaxEstimate est;
 
-  if (n <= exact_limit) {
+  if (h_max_solved_exactly(g, exact_limit)) {
     const HittingExtremes ext = hitting_extremes(g);
     est.value = ext.h_max;
     est.exact = true;

@@ -29,6 +29,12 @@ HmaxEstimate measure_h_max(const Graph& g, const McOptions& mc,
                            std::uint64_t exact_limit = 1200,
                            ThreadPool* pool = nullptr);
 
+/// True when measure_h_max(g, mc, exact_limit) takes the exact path: a
+/// serial solve that never uses its pool.
+inline bool h_max_solved_exactly(const Graph& g, std::uint64_t exact_limit) {
+  return g.num_vertices() <= exact_limit;
+}
+
 struct MixingMeasurement {
   std::uint64_t time = 0;
   bool converged = false;

@@ -1,9 +1,13 @@
 #include "core/experiments.hpp"
 
 #include <cmath>
+#include <functional>
+#include <future>
+#include <memory>
 #include <sstream>
 
 #include "graph/generators.hpp"
+#include "theory/bounds.hpp"
 #include "util/check.hpp"
 
 namespace manywalks {
@@ -112,28 +116,102 @@ TextTable to_text_table(const ResultTable& table) {
   return text;
 }
 
-Table1Row run_table1_row(const FamilyInstance& instance,
-                         std::span<const unsigned> ks,
-                         const ExperimentOptions& options, ThreadPool* pool) {
-  Table1Row row;
-  row.name = instance.name;
-  row.n = instance.graph.num_vertices();
-  row.m = instance.graph.num_edges();
-  row.theory = instance.theory;
+namespace {
 
-  ProfileOptions profile_options;
-  profile_options.mc = options.mc;
-  profile_options.mc.seed = mix64(options.seed ^ 0x7ab1e1ULL);
-  profile_options.cover = options.cover;
-  profile_options.hmax_exact_limit = options.hmax_exact_limit;
-  profile_options.mixing_cap = options.mixing_cap;
-  row.profile = profile_graph(instance, profile_options, pool);
+/// Pool tasks joined on every exit from the scope that submitted them,
+/// unwinding included: the tasks read and write the caller's locals, so
+/// those must not be freed under a running task. join() rethrows the first
+/// failed task's own exception, in submission order.
+class JoinedTasks {
+ public:
+  JoinedTasks() = default;
+  JoinedTasks(const JoinedTasks&) = delete;
+  JoinedTasks& operator=(const JoinedTasks&) = delete;
+  ~JoinedTasks() {
+    for (std::future<void>& task : tasks_) {
+      if (task.valid()) task.wait();
+    }
+  }
 
-  McOptions mc = options.mc;
-  mc.seed = mix64(options.seed ^ 0x5eedcafeULL);
-  row.speedups = estimate_speedup_curve(instance.graph, instance.start, ks, mc,
-                                        options.cover, pool);
-  return row;
+  void submit(ThreadPool& pool, std::function<void()> body) {
+    // If pool.submit throws, the packaged task dies unrun and its future
+    // turns ready with broken_promise, so the destructor cannot hang.
+    auto task = std::make_shared<std::packaged_task<void()>>(std::move(body));
+    tasks_.push_back(task->get_future());
+    pool.submit([task] { (*task)(); });
+  }
+
+  void join() {
+    for (std::future<void>& task : tasks_) task.get();
+  }
+
+ private:
+  std::vector<std::future<void>> tasks_;
+};
+
+}  // namespace
+
+std::vector<Table1Row> run_table1_rows(
+    std::span<const FamilyInstance> instances, std::span<const unsigned> ks,
+    const ExperimentOptions& options, ThreadPool& pool) {
+  McOptions profile_mc = options.mc;
+  profile_mc.seed = mix64(options.seed ^ 0x7ab1e1ULL);
+  McOptions speedup_mc = options.mc;
+  speedup_mc.seed = mix64(options.seed ^ 0x5eedcafeULL);
+  const auto exact_h_max = [&](const FamilyInstance& instance) {
+    return h_max_solved_exactly(instance.graph, options.hmax_exact_limit);
+  };
+
+  // The oracle chains. Each is serial on purpose: an exact h_max solve
+  // keeps 2 n^2 doubles live, and one chain holds one factor at a time
+  // where a task per family would hold up to seven. Neither may use the
+  // pool (see ThreadPool::submit); a sampled h_max is Monte-Carlo, so it
+  // stays with the estimates below. Each h_max slot has one writer, and
+  // both vectors are declared before `chains`, so they outlive it.
+  std::vector<HmaxEstimate> h_max(instances.size());
+  std::vector<MixingMeasurement> mixing(instances.size());
+  JoinedTasks chains;
+  chains.submit(pool, [&] {
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      if (!exact_h_max(instances[i])) continue;
+      h_max[i] = measure_h_max(instances[i].graph, profile_mc,
+                               options.hmax_exact_limit);
+    }
+  });
+  chains.submit(pool, [&] {
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      mixing[i] = measure_mixing_time(instances[i].graph,
+                                      instances[i].needs_lazy_mixing,
+                                      options.mixing_cap);
+    }
+  });
+
+  std::vector<Table1Row> rows(instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const FamilyInstance& instance = instances[i];
+    Table1Row& row = rows[i];
+    row.name = instance.name;
+    row.n = instance.graph.num_vertices();
+    row.m = instance.graph.num_edges();
+    row.theory = instance.theory;
+    row.profile.cover = estimate_cover_time(instance.graph, instance.start,
+                                            profile_mc, options.cover, &pool);
+    if (!exact_h_max(instance)) {
+      h_max[i] = measure_h_max(instance.graph, profile_mc,
+                               options.hmax_exact_limit, &pool);
+    }
+    row.speedups = estimate_speedup_curve(instance.graph, instance.start, ks,
+                                          speedup_mc, options.cover, &pool);
+  }
+
+  chains.join();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    GraphProfile& profile = rows[i].profile;
+    profile.h_max = h_max[i];
+    profile.mixing = mixing[i];
+    profile.gap = cover_hitting_gap(profile.cover.ci.mean, profile.h_max.value);
+  }
+  return rows;
 }
 
 ResultTable make_table1_result_table(std::span<const Table1Row> rows,

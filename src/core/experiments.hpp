@@ -147,11 +147,17 @@ struct Table1Row {
   TheoryProfile theory;
 };
 
-/// Measures one Table-1 row: Ĉ, h_max, t_m, and S^k for each k in `ks`.
-Table1Row run_table1_row(const FamilyInstance& instance,
-                         std::span<const unsigned> ks,
-                         const ExperimentOptions& options,
-                         ThreadPool* pool = nullptr);
+/// Measures one Table-1 row per instance, in instance order: Ĉ, h_max,
+/// t_m, and S^k for each k in `ks`. The exact oracles run beside the
+/// Monte-Carlo as two serial pool tasks, one for every exact h_max solve
+/// and one for every mixing probe, each in instance order; the calling
+/// thread runs the Monte-Carlo estimates (and any sampled h_max) on the
+/// same pool. Every cell is a pure function of its seed and graph, so the
+/// rows do not depend on pool.size(). Both tasks are joined on every exit;
+/// an exception from either reaches the caller as thrown.
+std::vector<Table1Row> run_table1_rows(
+    std::span<const FamilyInstance> instances, std::span<const unsigned> ks,
+    const ExperimentOptions& options, ThreadPool& pool);
 
 /// Table 1 as a structured table; render_table1 is to_text_table of this,
 /// so the CLI sinks and the legacy text rendering share one layout.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "util/check.hpp"
@@ -121,25 +122,34 @@ void parallel_for(ThreadPool& pool, std::uint64_t begin, std::uint64_t end,
   const std::uint64_t chunks = (end - begin + grain - 1) / grain;
   const unsigned helpers = static_cast<unsigned>(
       std::min<std::uint64_t>(pool.size(), chunks - 1));
-  unsigned done = 0;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
+  // The caller waits only for helpers that started before it finished its
+  // own drain. A helper still queued then (behind workers busy with other
+  // tasks) finds `closed` when it runs and returns without touching `body`,
+  // which may be gone by then; so the call never waits on unrelated tasks.
+  struct Rendezvous {
+    std::mutex mutex;
+    std::condition_variable cv;
+    unsigned running = 0;
+    bool closed = false;
+  };
+  auto rendezvous = std::make_shared<Rendezvous>();
   for (unsigned t = 0; t < helpers; ++t) {
-    pool.submit([&, drain] {
+    pool.submit([rendezvous, drain] {
+      {
+        std::lock_guard lock(rendezvous->mutex);
+        if (rendezvous->closed) return;
+        ++rendezvous->running;
+      }
       drain();
-      // Notify while still holding the lock: done_cv and done_mutex live on
-      // the caller's stack, and the caller can only observe done == helpers
-      // (and destroy them) after we release the mutex — notifying after the
-      // unlock would race a straggler's notify_one against the destruction.
-      std::lock_guard lock(done_mutex);
-      ++done;
-      done_cv.notify_one();
+      std::lock_guard lock(rendezvous->mutex);
+      if (--rendezvous->running == 0) rendezvous->cv.notify_one();
     });
   }
   drain();
   {
-    std::unique_lock lock(done_mutex);
-    done_cv.wait(lock, [&] { return done == helpers; });
+    std::unique_lock lock(rendezvous->mutex);
+    rendezvous->closed = true;
+    rendezvous->cv.wait(lock, [&] { return rendezvous->running == 0; });
   }
   if (first_error->load()) std::rethrow_exception(*error);
 }

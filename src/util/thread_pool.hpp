@@ -29,6 +29,13 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution. Tasks should not throw; if
   /// one does, the worker survives and the first exception is captured and
   /// rethrown from the next wait_idle() instead of terminating the process.
+  ///
+  /// A submitted task must not call parallel_for or parallel_for_static on
+  /// its own pool, nor run a Monte-Carlo estimate on it: a static chunk
+  /// queued behind the blocked workers never runs, and the estimators drain
+  /// every thread's metric counters from the coordinating thread. Long
+  /// serial tasks (table1's oracle chains) are fine: the coordinating
+  /// thread's parallel_for completes even while every worker is busy.
   void submit(std::function<void()> task);
 
   /// Blocks until the queue is empty and all workers are idle. Rethrows the
@@ -62,7 +69,9 @@ class ThreadPool {
 /// of `grain` for load balance; exceptions from the body propagate to the
 /// caller (the first one observed). Never submits more helper tasks than
 /// there are grain-sized chunks beyond the caller's own share, so a short
-/// range does not flood the queue with tasks that wake up to no work.
+/// range does not flood the queue with tasks that wake up to no work. The
+/// caller drains the range itself and waits only for helpers that already
+/// started, so the call completes while every worker is busy elsewhere.
 void parallel_for(ThreadPool& pool, std::uint64_t begin, std::uint64_t end,
                   const std::function<void(std::uint64_t)>& body,
                   std::uint64_t grain = 1);

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace manywalks {
@@ -172,6 +176,57 @@ TEST(ParallelFor, LargeRangeSumsCorrectly) {
       pool, 0, n, [&sum](std::uint64_t i) { sum.fetch_add(i); },
       /*grain=*/512);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+// table1's oracle chains occupy workers for long stretches while the
+// calling thread runs its Monte-Carlo batches through parallel_for: the
+// call must complete on the caller alone, without waiting for its helpers
+// queued behind the busy workers. A watchdog frees the workers after a
+// grace period, so a regression fails the test instead of hanging it.
+TEST(ParallelFor, CompletesWhileEveryWorkerIsBlocked) {
+  ThreadPool pool(3);
+  std::mutex mutex;
+  std::condition_variable cv;
+  unsigned blocked = 0;
+  bool release = false;
+  bool returned = false;
+  for (unsigned t = 0; t < pool.size(); ++t) {
+    pool.submit([&] {
+      std::unique_lock lock(mutex);
+      ++blocked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return blocked == pool.size(); });
+  }
+  std::thread watchdog([&] {
+    std::unique_lock lock(mutex);
+    cv.wait_for(lock, std::chrono::seconds(30), [&] { return returned; });
+    release = true;
+    cv.notify_all();
+  });
+
+  std::vector<std::atomic<int>> hits(1000);
+  parallel_for(
+      pool, 0, hits.size(), [&](std::uint64_t i) { hits[i].fetch_add(1); },
+      /*grain=*/7);
+  bool freed_by_watchdog = false;
+  {
+    std::lock_guard lock(mutex);
+    freed_by_watchdog = release;
+    returned = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+  pool.wait_idle();
+
+  EXPECT_FALSE(freed_by_watchdog);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
 TEST(DefaultThreadCount, IsPositive) { EXPECT_GE(default_thread_count(), 1u); }
