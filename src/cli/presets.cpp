@@ -89,7 +89,10 @@ std::uint64_t resolve_target(const ExperimentPreset& preset,
 
 McOptions preset_mc(std::uint64_t trials) {
   McOptions mc;
-  mc.min_trials = std::max<std::uint64_t>(trials / 4, 8);
+  // The floor of 8 never exceeds the trial count: --trials=t < 8 runs
+  // exactly t trials.
+  mc.min_trials = std::min<std::uint64_t>(
+      trials, std::max<std::uint64_t>(trials / 4, 8));
   mc.max_trials = trials;
   return mc;
 }

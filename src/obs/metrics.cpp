@@ -23,7 +23,6 @@ constexpr MetricInfo kMetricInfo[kMetricCount] = {
     {"block.bucket_passes", MetricKind::kCounter},
     {"block.block_visits", MetricKind::kCounter},
     {"block.bucket_migrations", MetricKind::kCounter},
-    {"block.replayed_rounds", MetricKind::kCounter},
     {"cache.loads", MetricKind::kCounter},
     {"cache.hits", MetricKind::kCounter},
     {"cache.evictions", MetricKind::kCounter},

@@ -39,7 +39,6 @@ enum class Metric : std::size_t {
   kBucketPasses,      // block engine: passes over the bucket list
   kBlockVisits,       // block engine: per-block visits
   kBucketMigrations,  // walkers re-bucketed to another block after a visit
-  kReplayedRounds,    // exact-cover replay rounds after a horizon snapshot
   kCacheLoads,        // extent-cache misses that mapped an extent
   kCacheHits,
   kCacheEvictions,

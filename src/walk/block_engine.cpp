@@ -1,6 +1,7 @@
 #include "walk/block_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -16,7 +17,9 @@ BlockWalkEngine::BlockWalkEngine(const BlockedGraph& graph,
     : graph_(&graph),
       cache_(graph, mem_budget_bytes),
       tracker_(graph.num_vertices()),
-      snap_tracker_(graph.num_vertices()) {
+      stamps_(graph.num_vertices(), Stamp{0}),
+      // Pages of the fresh list are touched only as vertices are listed.
+      fresh_(std::make_unique_for_overwrite<Vertex[]>(graph.num_vertices())) {
   MW_REQUIRE(graph.min_degree() >= 1,
              "graph has an isolated vertex; walks are undefined");
 }
@@ -30,6 +33,8 @@ void BlockWalkEngine::reset(std::span<const Vertex> starts) {
     tracker_.visit(s);
   }
   lanes_seeded_ = false;
+  rewind_rounds_ = 0;
+  buckets_.reset(graph_->num_blocks(), tokens_.size());
 }
 
 void BlockWalkEngine::ensure_lanes(Rng& rng) {
@@ -37,6 +42,15 @@ void BlockWalkEngine::ensure_lanes(Rng& rng) {
     lane_rngs_.reseed(rng.next(), tokens_.size());
     lanes_seeded_ = true;
   }
+}
+
+void BlockWalkEngine::settle() {
+  if (rewind_rounds_ == 0) return;
+  const std::uint32_t rounds = rewind_rounds_;
+  rewind_rounds_ = 0;
+  std::copy(snap_tokens_.begin(), snap_tokens_.end(), tokens_.begin());
+  std::copy(snap_rngs_.begin(), snap_rngs_.end(), lane_rngs_.data());
+  run_horizon<Visits::kNone>(rounds, rewind_laziness_);
 }
 
 CoverSample BlockWalkEngine::run_until_visited(Vertex target, Rng& rng,
@@ -53,12 +67,13 @@ CoverSample BlockWalkEngine::run_until_visited(Vertex target, Rng& rng,
     return sample;
   }
   if (options.step_cap == 0) return sample;  // no rounds, no draws
-  ensure_lanes(rng);
   // Per-horizon observability flush keeps heartbeats live through a long
   // OOC cover: `last` tracks the stat state at the previous flush. kRounds
-  // counts rounds EXECUTED (horizons run in full even when coverage lands
-  // inside one; the exact-cover replay is tracked as kReplayedRounds).
+  // counts rounds EXECUTED: horizons run in full even when coverage lands
+  // inside one.
   Stats last = stats_;
+  settle();
+  ensure_lanes(rng);
   obs::RunObserver* const o = obs::observer();
   obs::TraceWriter* const trace = o != nullptr ? o->trace : nullptr;
 
@@ -66,35 +81,26 @@ CoverSample BlockWalkEngine::run_until_visited(Vertex target, Rng& rng,
   while (done < options.step_cap) {
     const auto horizon = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         kBlockHorizon, options.step_cap - done));
+    const Vertex before = tracker_.num_visited();
     {
       obs::TraceSpan span(trace, "horizon", "block");
       span.set_args("\"round_begin\":" + std::to_string(done) +
                     ",\"rounds\":" + std::to_string(horizon));
-      // Snapshot, then run the horizon asynchronously. The horizon-end
-      // state is exactly the lockstep state after `horizon` rounds (lane
-      // trajectories are per-lane pure, visits commute), so checking
-      // coverage only here is exact; the replay below recovers the precise
-      // covering round.
       snap_tokens_ = tokens_;
       snap_rngs_.assign(lane_rngs_.data(), lane_rngs_.data() + tokens_.size());
-      snap_tracker_ = tracker_;
-      run_rounds_bucketed(horizon, options.laziness);
+      run_horizon<Visits::kStamp>(horizon, options.laziness);
       ++stats_.horizons;
       done += horizon;
     }
+    const std::uint32_t round = close_horizon(target, before, horizon);
     note_run_observed(last, horizon);
     last = stats_;
     if (o != nullptr && o->progress != nullptr) o->progress->tick();
-    if (tracker_.num_visited() >= target) {
-      tokens_ = snap_tokens_;
-      std::copy(snap_rngs_.begin(), snap_rngs_.end(), lane_rngs_.data());
-      tracker_ = snap_tracker_;
-      std::uint64_t round = 0;
-      {
-        obs::TraceSpan span(trace, "cover-replay", "block");
-        round = replay_cover_rounds(target, horizon, options.laziness);
+    if (round != 0) {
+      if (round < horizon) {
+        rewind_rounds_ = round;
+        rewind_laziness_ = options.laziness;
       }
-      note_run_observed(last, 0);
       sample.steps = done - horizon + round;
       sample.covered = true;
       return sample;
@@ -110,8 +116,9 @@ void BlockWalkEngine::run_for_steps(std::uint64_t rounds, Rng& rng,
   MW_REQUIRE(!tokens_.empty(), "no tokens; call reset() before running");
   MW_REQUIRE(laziness >= 0.0 && laziness < 1.0, "laziness must be in [0,1)");
   if (rounds == 0) return;
-  ensure_lanes(rng);
   const Stats before = stats_;
+  settle();
+  ensure_lanes(rng);
   const std::uint64_t total_rounds = rounds;
   obs::RunObserver* const o = obs::observer();
   obs::TraceWriter* const trace = o != nullptr ? o->trace : nullptr;
@@ -120,7 +127,7 @@ void BlockWalkEngine::run_for_steps(std::uint64_t rounds, Rng& rng,
         std::min<std::uint64_t>(kBlockHorizon, rounds));
     {
       obs::TraceSpan span(trace, "horizon", "block");
-      run_rounds_bucketed(horizon, laziness);
+      run_horizon<Visits::kCommit>(horizon, laziness);
     }
     ++stats_.horizons;
     rounds -= horizon;
@@ -129,30 +136,33 @@ void BlockWalkEngine::run_for_steps(std::uint64_t rounds, Rng& rng,
   note_run_observed(before, total_rounds);
 }
 
-void BlockWalkEngine::run_rounds_bucketed(std::uint32_t rounds_each,
-                                          double laziness) {
-  rounds_left_.assign(tokens_.size(), rounds_each);
-  while (true) {
-    buckets_.rebuild(tokens_, rounds_left_, graph_->block_bits(),
-                     graph_->num_blocks());
-    const auto touched = buckets_.touched_blocks();
-    if (touched.empty()) break;
+template <BlockWalkEngine::Visits kVisits>
+void BlockWalkEngine::run_horizon(std::uint32_t rounds, double laziness) {
+  rounds_left_.assign(tokens_.size(), rounds);
+  const std::uint32_t bits = graph_->block_bits();
+  for (std::size_t lane = 0; lane < tokens_.size(); ++lane) {
+    buckets_.push(tokens_[lane] >> bits, static_cast<std::uint32_t>(lane));
+  }
+  while (!buckets_.empty()) {
     ++stats_.bucket_passes;
-    for (const std::uint32_t b : touched) {
-      process_block(b, laziness);
+    for (std::uint32_t b = buckets_.next_block(0); b != WalkerBuckets::kNone;
+         b = buckets_.next_block(b + 1)) {
+      if (laziness > 0.0) {
+        process_block<true, kVisits>(b, rounds, laziness);
+      } else {
+        process_block<false, kVisits>(b, rounds, laziness);
+      }
     }
   }
 }
 
-void BlockWalkEngine::process_block(std::uint32_t block, double laziness) {
+template <bool kLazy, BlockWalkEngine::Visits kVisits>
+void BlockWalkEngine::process_block(std::uint32_t block, std::uint32_t rounds,
+                                    double laziness) {
   ++stats_.block_visits;
   obs::RunObserver* const o = obs::observer();
   obs::TraceSpan span(o != nullptr ? o->trace : nullptr, "block-visit",
                       "block");
-  if (o != nullptr && o->trace != nullptr) {
-    span.set_args("\"block\":" + std::to_string(block) + ",\"walkers\":" +
-                  std::to_string(buckets_.lanes_in(block).size()));
-  }
   const std::byte* raw = cache_.acquire(graph_->block_byte_begin(block),
                                         graph_->block_byte_end(block));
   // block_byte_begin is 4-aligned (targets_begin + 4*arc) by format.
@@ -160,35 +170,110 @@ void BlockWalkEngine::process_block(std::uint32_t block, double laziness) {
   const std::uint64_t arc0 = graph_->block_arc_begin(block);
   const std::uint64_t* const offsets = graph_->offsets().data();
   const std::uint32_t bits = graph_->block_bits();
+  Vertex* const toks = tokens_.data();
   Rng* const rngs = lane_rngs_.data();
+  std::uint32_t* const rounds_left = rounds_left_.data();
+  // Kernel state lives in locals (as in WalkEngineT's lane kernels) and is
+  // written back once per block.
+  std::uint64_t* const words = tracker_.words();
+  Vertex visited = tracker_.num_visited();
+  Stamp* const stamps = stamps_.data();
+  Vertex* fresh = fresh_.get() + num_fresh_;
+  std::uint64_t migrations = 0;
 
-  for (const std::uint32_t lane : buckets_.lanes_in(block)) {
-    Vertex v = tokens_[lane];
-    std::uint32_t left = rounds_left_[lane];
+  const std::uint32_t walkers = buckets_.drain(block, [&](std::uint32_t lane) {
+    Vertex v = toks[lane];
+    std::uint32_t left = rounds_left[lane];
     Rng rng = rngs[lane];
-    // Per-step draws match the in-core lane kernels exactly (see
-    // with_any_lane_draw's draw-stream invariant): an optional uniform01
-    // iff laziness > 0, then lane_neighbor_index(rng, degree).
+    // Per-step draws match the in-core lane kernels exactly: a uniform01
+    // iff the walk is lazy, then lane_neighbor_index(rng, degree). A lazy
+    // step stays on a vertex this lane already visited at an earlier
+    // round, so it commits nothing.
     while (left > 0) {
-      if (laziness > 0.0 && rng.uniform01() < laziness) {
-        --left;
-        tracker_.visit(v);
-        continue;
+      if constexpr (kLazy) {
+        if (rng.uniform01() < laziness) {
+          --left;
+          continue;
+        }
       }
-      const auto degree = static_cast<Vertex>(offsets[v + 1] - offsets[v]);
-      const std::uint64_t arc = offsets[v] + lane_neighbor_index(rng, degree);
-      v = block_targets[arc - arc0];
+      const std::uint64_t row = offsets[v];
+      const auto degree = static_cast<Vertex>(offsets[v + 1] - row);
+      v = block_targets[row + lane_neighbor_index(rng, degree) - arc0];
+      const auto round = static_cast<Stamp>(rounds + 1 - left);
       --left;
-      tracker_.visit(v);
-      if ((v >> bits) != block) break;  // exited: resume on a later pass
+      if constexpr (kVisits != Visits::kNone) {
+        std::uint64_t& word = words[v >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+        if ((word & bit) == 0) {
+          word |= bit;
+          ++visited;
+          if constexpr (kVisits == Visits::kStamp) {
+            stamps[v] = round;
+            *fresh++ = v;
+          }
+        } else if constexpr (kVisits == Visits::kStamp) {
+          if (stamps[v] > round) stamps[v] = round;
+        }
+      }
+      if ((v >> bits) != block) break;
     }
-    tokens_[lane] = v;
+    toks[lane] = v;
     rngs[lane] = rng;
-    rounds_left_[lane] = left;
-    // Round budget left means the walker exited this block and a later
-    // pass resumes it elsewhere: one bucket migration.
-    if (left > 0) ++stats_.bucket_migrations;
+    rounds_left[lane] = left;
+    // Round budget left means the walker exited this block: it joins the
+    // exit block's bucket, later in this pass or in the next one.
+    if (left > 0) {
+      buckets_.push(v >> bits, lane);
+      ++migrations;
+    }
+  });
+
+  stats_.bucket_migrations += migrations;
+  if constexpr (kVisits != Visits::kNone) tracker_.set_num_visited(visited);
+  if constexpr (kVisits == Visits::kStamp) {
+    num_fresh_ = static_cast<std::size_t>(fresh - fresh_.get());
   }
+  if (o != nullptr && o->trace != nullptr) {
+    span.set_args("\"block\":" + std::to_string(block) +
+                  ",\"walkers\":" + std::to_string(walkers));
+  }
+}
+
+std::uint32_t BlockWalkEngine::close_horizon(Vertex target, Vertex before,
+                                             std::uint32_t rounds) {
+  Stamp* const stamps = stamps_.data();
+  const std::span<const Vertex> fresh(fresh_.get(), num_fresh_);
+  num_fresh_ = 0;
+  std::uint32_t cover_round = 0;
+  if (tracker_.num_visited() >= target) {
+    // The union after round r is the old set plus every fresh vertex
+    // stamped <= r: the first r where that reaches the target is exact.
+    std::array<Vertex, kBlockHorizon + 1> first_visits{};
+    for (const Vertex v : fresh) {
+      ++first_visits[static_cast<unsigned>(stamps[v])];
+    }
+    Vertex reached = before;
+    for (std::uint32_t r = 1; r <= rounds; ++r) {
+      reached += first_visits[r];
+      if (reached >= target) {
+        cover_round = r;
+        break;
+      }
+    }
+    MW_ASSERT(cover_round != 0);
+    const auto last = static_cast<Stamp>(cover_round);
+    std::uint64_t* const words = tracker_.words();
+    Vertex visited = tracker_.num_visited();
+    for (const Vertex v : fresh) {
+      if (stamps[v] > last) {
+        words[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+        --visited;
+      }
+    }
+    tracker_.set_num_visited(visited);
+  }
+  for (const Vertex v : fresh) stamps[v] = Stamp{0};
+  return cover_round;
 }
 
 void BlockWalkEngine::note_run_observed(const Stats& before,
@@ -203,26 +288,6 @@ void BlockWalkEngine::note_run_observed(const Stats& before,
   m.add(obs::Metric::kBlockVisits, stats_.block_visits - before.block_visits);
   m.add(obs::Metric::kBucketMigrations,
         stats_.bucket_migrations - before.bucket_migrations);
-  m.add(obs::Metric::kReplayedRounds,
-        stats_.replayed_rounds - before.replayed_rounds);
-}
-
-std::uint64_t BlockWalkEngine::replay_cover_rounds(Vertex target,
-                                                   std::uint32_t horizon,
-                                                   double laziness) {
-  // Lockstep replay from the snapshot: one round per sweep, coverage
-  // checked at round granularity — exactly the in-core serial loop's
-  // convention ("a round always finishes even if coverage is reached
-  // mid-round").
-  for (std::uint32_t round = 1; round <= horizon; ++round) {
-    run_rounds_bucketed(1, laziness);
-    ++stats_.replayed_rounds;
-    if (tracker_.num_visited() >= target) return round;
-  }
-  // Unreachable: the asynchronous horizon reached coverage, and its end
-  // state equals the lockstep end state.
-  MW_REQUIRE(false, "cover replay did not reproduce horizon coverage");
-  return horizon;
 }
 
 }  // namespace manywalks

@@ -50,11 +50,12 @@ class WordVisitTracker {
   bool all_visited() const { return num_visited_ == num_vertices_; }
 
  private:
-  // The engine's inner loop keeps the word pointer and visit counter in
+  // The engines' inner loops keep the word pointer and visit counter in
   // registers (member updates through `this` would force a reload after
-  // every store) and syncs num_visited_ back on exit.
+  // every store) and sync num_visited_ back on exit.
   template <class S>
   friend class WalkEngineT;
+  friend class BlockWalkEngine;
   std::uint64_t* words() { return words_.data(); }
   void set_num_visited(Vertex n) { num_visited_ = n; }
 

@@ -1,40 +1,26 @@
 #include "walk/walker_buckets.hpp"
 
-#include <algorithm>
-
-#include "util/check.hpp"
+#include <bit>
 
 namespace manywalks {
 
-void WalkerBuckets::rebuild(std::span<const Vertex> tokens,
-                            std::span<const std::uint32_t> rounds_left,
-                            std::uint32_t block_bits,
-                            std::uint64_t num_blocks) {
-  MW_REQUIRE(tokens.size() == rounds_left.size(),
-             "tokens/rounds_left size mismatch");
-  counts_.assign(num_blocks, 0);
-  begin_.assign(num_blocks, 0);
-  touched_.clear();
-  std::uint32_t active = 0;
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (rounds_left[i] == 0) continue;
-    const auto b = static_cast<std::uint32_t>(tokens[i] >> block_bits);
-    if (counts_[b]++ == 0) touched_.push_back(b);
-    ++active;
+void WalkerBuckets::reset(std::uint64_t num_blocks, std::size_t num_lanes) {
+  head_.assign(num_blocks, kNone);
+  tail_.resize(num_blocks);
+  next_.resize(num_lanes);
+  occupied_.assign((num_blocks + 63) / 64, 0);
+}
+
+std::uint32_t WalkerBuckets::next_block(std::uint32_t from) const {
+  std::size_t word = from >> 6;
+  if (word >= occupied_.size()) return kNone;
+  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++word == occupied_.size()) return kNone;
+    bits = occupied_[word];
   }
-  std::sort(touched_.begin(), touched_.end());
-  std::uint32_t offset = 0;
-  for (const std::uint32_t b : touched_) {
-    begin_[b] = offset;
-    offset += counts_[b];
-  }
-  lanes_.resize(active);
-  cursor_.assign(begin_.begin(), begin_.end());
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (rounds_left[i] == 0) continue;
-    const auto b = static_cast<std::uint32_t>(tokens[i] >> block_bits);
-    lanes_[cursor_[b]++] = static_cast<std::uint32_t>(i);
-  }
+  return static_cast<std::uint32_t>(word * 64) +
+         static_cast<std::uint32_t>(std::countr_zero(bits));
 }
 
 }  // namespace manywalks

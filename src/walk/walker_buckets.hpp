@@ -1,47 +1,74 @@
-// Deterministic walker→block bucketing for the out-of-core engine.
+// Walker→block buckets of the out-of-core engine.
 //
-// The block scheduler repeatedly needs "which vertex blocks hold live
-// walkers, and which walkers sit in each" — WalkerBuckets answers it
-// with a stable counting sort: one pass counts lanes per block (and
-// collects the touched blocks), one pass places lane ids grouped by
-// block in ascending lane order. Touched blocks come back ascending.
-// Both orders are pure functions of the walker positions, which is what
-// makes the whole block schedule deterministic (contract v4): no hashes,
-// no pointers, no timing.
+// One FIFO bucket per vertex block, linked through a per-lane `next`
+// array (nothing is allocated after reset), plus a bitmap of the blocks
+// whose bucket is non-empty. The block engine sweeps those blocks in
+// ascending id order — one sweep is a pass — and drains each bucket in
+// arrival order. A walker that leaves block b for block b' is pushed onto
+// b''s bucket: if b' > b the same pass still reaches it, otherwise it
+// waits for the next pass. Nothing is re-sorted between passes.
+//
+// Both orders are pure functions of the walker trajectories (no hashes,
+// no pointers, no timing), which is what makes the whole block schedule
+// deterministic (contract v4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
-
-#include "graph/graph.hpp"
 
 namespace manywalks {
 
 class WalkerBuckets {
  public:
-  /// Rebuilds the buckets from the current walker positions: lane i goes
-  /// under block tokens[i] >> block_bits iff rounds_left[i] > 0.
-  void rebuild(std::span<const Vertex> tokens,
-               std::span<const std::uint32_t> rounds_left,
-               std::uint32_t block_bits, std::uint64_t num_blocks);
+  static constexpr std::uint32_t kNone = 0xffffffffU;
 
-  /// Blocks holding at least one live walker, ascending.
-  std::span<const std::uint32_t> touched_blocks() const noexcept {
-    return touched_;
+  /// Empties every bucket and sizes the buckets for `num_blocks` blocks
+  /// and lane ids below `num_lanes`.
+  void reset(std::uint64_t num_blocks, std::size_t num_lanes);
+
+  /// Appends `lane` to the tail of `block`'s bucket. A lane sits in at
+  /// most one bucket at a time.
+  void push(std::uint32_t block, std::uint32_t lane) {
+    next_[lane] = kNone;
+    if (head_[block] == kNone) {
+      head_[block] = lane;
+      occupied_[block >> 6] |= std::uint64_t{1} << (block & 63);
+    } else {
+      next_[tail_[block]] = lane;
+    }
+    tail_[block] = lane;
   }
-  /// Lane ids resident in `block`, ascending (empty for untouched blocks).
-  std::span<const std::uint32_t> lanes_in(std::uint32_t block) const noexcept {
-    return {lanes_.data() + begin_[block], counts_[block]};
+
+  /// The smallest block id >= `from` with a non-empty bucket, or kNone.
+  std::uint32_t next_block(std::uint32_t from) const;
+
+  /// Empties `block`'s bucket, calling visit(lane) on its lanes in arrival
+  /// order, and returns how many there were. `visit` may push the lane it
+  /// is given onto another block's bucket.
+  template <class Visit>
+  std::uint32_t drain(std::uint32_t block, Visit&& visit) {
+    std::uint32_t lane = head_[block];
+    head_[block] = kNone;
+    occupied_[block >> 6] &= ~(std::uint64_t{1} << (block & 63));
+    std::uint32_t drained = 0;
+    while (lane != kNone) {
+      const std::uint32_t after = next_[lane];  // push() rewrites next_[lane]
+      ++drained;
+      visit(lane);
+      lane = after;
+    }
+    return drained;
   }
-  std::size_t active_lanes() const noexcept { return lanes_.size(); }
+
+  /// True when no bucket holds a lane.
+  bool empty() const { return next_block(0) == kNone; }
 
  private:
-  std::vector<std::uint32_t> counts_;   // lanes per block
-  std::vector<std::uint32_t> begin_;    // per-block start into lanes_
-  std::vector<std::uint32_t> cursor_;   // fill cursor (pass 2 scratch)
-  std::vector<std::uint32_t> lanes_;    // lane ids grouped by block
-  std::vector<std::uint32_t> touched_;  // ascending touched block ids
+  std::vector<std::uint32_t> head_;      // first lane per block, or kNone
+  std::vector<std::uint32_t> tail_;      // last lane per block, if any
+  std::vector<std::uint32_t> next_;      // next lane in the same bucket
+  std::vector<std::uint64_t> occupied_;  // bit b: block b's bucket non-empty
 };
 
 }  // namespace manywalks

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/families.hpp"
@@ -259,29 +260,69 @@ TEST(ExtentCache, OversizedExtentStaysResident) {
 }
 
 TEST(WalkerBuckets, StableAscendingOrder) {
-  // Tokens across 3 of 4 blocks (bits = 2, 4 vertices per block); lanes
-  // with no rounds left are skipped entirely.
-  const std::vector<Vertex> tokens = {13, 2, 5, 1, 13, 6};
-  const std::vector<std::uint32_t> rounds = {1, 1, 1, 0, 2, 3};
+  // 4 blocks, lanes 0..5; lane 3 has no rounds left and is never queued.
+  constexpr std::uint32_t kNone = WalkerBuckets::kNone;
   WalkerBuckets buckets;
-  buckets.rebuild(tokens, rounds, /*block_bits=*/2, /*num_blocks=*/4);
-  const auto touched = buckets.touched_blocks();
-  ASSERT_EQ(touched.size(), 3u);
-  EXPECT_EQ(touched[0], 0u);  // vertex 2 (lane 1); lane 3 is spent
-  EXPECT_EQ(touched[1], 1u);  // vertices 5, 6
-  EXPECT_EQ(touched[2], 3u);  // vertex 13 twice
-  const auto b0 = buckets.lanes_in(0);
-  ASSERT_EQ(b0.size(), 1u);
-  EXPECT_EQ(b0[0], 1u);
-  const auto b1 = buckets.lanes_in(1);
-  ASSERT_EQ(b1.size(), 2u);
-  EXPECT_EQ(b1[0], 2u);
-  EXPECT_EQ(b1[1], 5u);
-  const auto b3 = buckets.lanes_in(3);
-  ASSERT_EQ(b3.size(), 2u);
-  EXPECT_EQ(b3[0], 0u);
-  EXPECT_EQ(b3[1], 4u);
-  EXPECT_EQ(buckets.active_lanes(), 5u);
+  buckets.reset(/*num_blocks=*/4, /*num_lanes=*/6);
+  EXPECT_TRUE(buckets.empty());
+  EXPECT_EQ(buckets.next_block(0), kNone);
+  using Visit = std::pair<std::uint32_t, std::uint32_t>;  // (block, lane)
+  for (const auto& [block, lane] :
+       std::vector<Visit>{{3, 0}, {0, 1}, {1, 2}, {3, 4}, {1, 5}}) {
+    buckets.push(block, lane);
+  }
+  EXPECT_EQ(buckets.next_block(0), 0u);
+  EXPECT_EQ(buckets.next_block(2), 3u);
+  // Exits taken during the first pass: lane 1 leaves block 0 for block 2
+  // (ahead: same pass), lane 2 leaves block 1 for block 0 (behind: next
+  // pass), lane 5 leaves block 1 for block 3 (ahead, queued behind the
+  // lanes already there).
+  std::uint32_t exit_to[6] = {kNone, 2, 0, kNone, kNone, 3};
+  std::vector<std::vector<Visit>> passes;
+  while (!buckets.empty()) {
+    std::vector<Visit>& pass = passes.emplace_back();
+    for (std::uint32_t b = buckets.next_block(0); b != kNone;
+         b = buckets.next_block(b + 1)) {
+      const std::uint32_t drained = buckets.drain(b, [&](std::uint32_t lane) {
+        pass.emplace_back(b, lane);
+        if (exit_to[lane] != kNone) {
+          buckets.push(exit_to[lane], lane);
+          exit_to[lane] = kNone;
+        }
+      });
+      EXPECT_GT(drained, 0u);
+    }
+  }
+  const std::vector<std::vector<Visit>> expect = {
+      {{0, 1}, {1, 2}, {1, 5}, {2, 1}, {3, 0}, {3, 4}, {3, 5}},
+      {{0, 2}},
+  };
+  EXPECT_EQ(passes, expect);
+  EXPECT_EQ(buckets.next_block(0), kNone);
+}
+
+TEST(WalkerBuckets, NextBlockScansAcrossBitmapWords) {
+  // 200 blocks span four bitmap words; occupied blocks sit in words 0, 1
+  // and 3, and word 2 is empty.
+  constexpr std::uint32_t kNone = WalkerBuckets::kNone;
+  WalkerBuckets buckets;
+  buckets.reset(/*num_blocks=*/200, /*num_lanes=*/3);
+  buckets.push(199, 0);
+  buckets.push(5, 1);
+  buckets.push(70, 2);
+  EXPECT_EQ(buckets.next_block(0), 5u);
+  EXPECT_EQ(buckets.next_block(6), 70u);
+  EXPECT_EQ(buckets.next_block(71), 199u);
+  EXPECT_EQ(buckets.next_block(128), 199u);
+  EXPECT_EQ(buckets.next_block(199), 199u);
+  EXPECT_EQ(buckets.next_block(200), kNone);
+  EXPECT_EQ(buckets.drain(70, [](std::uint32_t) {}), 1u);
+  EXPECT_EQ(buckets.next_block(6), 199u);
+  EXPECT_EQ(buckets.drain(199, [](std::uint32_t) {}), 1u);
+  EXPECT_EQ(buckets.next_block(6), kNone);
+  EXPECT_FALSE(buckets.empty());
+  EXPECT_EQ(buckets.drain(5, [](std::uint32_t) {}), 1u);
+  EXPECT_TRUE(buckets.empty());
 }
 
 // --- the v4 contract: out-of-core == in-core, bit for bit --------------------
@@ -378,7 +419,7 @@ TEST(BlockEngineContract, StepCapTruncation) {
 
 TEST(BlockEngineContract, TargetHitMidHorizon) {
   // A tiny target is covered in the first few rounds — inside the first
-  // asynchronous horizon — so the replay path must recover the exact
+  // asynchronous horizon — so the first-visit stamps must give the exact
   // covering round.
   const Graph graph = make_margulis_expander(16);
   TempFile file("midblock.mwg");
@@ -477,6 +518,92 @@ TEST(BlockEngineContract, LazyWalkBitIdentical) {
   EXPECT_EQ(expect.steps, got.steps);
   EXPECT_EQ(expect.covered, got.covered);
   expect_same_end_state(in_core, engine);
+}
+
+TEST(BlockEngineContract, ContinuationAfterCover) {
+  // A covered run leaves the state of its covering round. Nothing reads
+  // the tokens in between, so the next run_* call is what rebuilds that
+  // state from the horizon start.
+  for (auto& [name, graph, bits] : contract_instances()) {
+    SCOPED_TRACE(name);
+    TempFile file(std::string("continue_") + name + ".mwg");
+    write_mwg(file.path(), graph, bits);
+    const BlockedGraph blocked(file.path());
+    const Vertex n = graph.num_vertices();
+    const std::vector<Vertex> starts(8, 0);
+    WalkEngine in_core(graph);
+    Rng rng_a(0xc0417ULL);
+    in_core.reset(starts);
+    const CoverSample first_a = in_core.run_until_visited(n / 2, rng_a);
+    const Vertex visited_a = in_core.num_visited();
+    in_core.run_for_steps(37, rng_a);
+    const CoverSample second_a = in_core.run_until_visited(n * 9 / 10, rng_a);
+    ASSERT_TRUE(first_a.covered);
+    for (const std::uint64_t budget : kBudgets) {
+      SCOPED_TRACE(budget);
+      BlockWalkEngine engine(blocked, budget);
+      Rng rng_b(0xc0417ULL);
+      engine.reset(starts);
+      const CoverSample first_b = engine.run_until_visited(n / 2, rng_b);
+      EXPECT_EQ(first_a.steps, first_b.steps);
+      EXPECT_EQ(visited_a, engine.num_visited());
+      engine.run_for_steps(37, rng_b);
+      const CoverSample second_b = engine.run_until_visited(n * 9 / 10, rng_b);
+      EXPECT_EQ(second_a.steps, second_b.steps);
+      EXPECT_EQ(second_a.covered, second_b.covered);
+      EXPECT_EQ(rng_a.state(), rng_b.state());
+      ASSERT_EQ(in_core.num_visited(), engine.num_visited());
+      for (Vertex v = 0; v < n; ++v) {
+        ASSERT_EQ(in_core.visited(v), engine.visited(v)) << "vertex " << v;
+      }
+      const auto a = in_core.tokens();
+      const auto b = engine.tokens();
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+    }
+  }
+}
+
+TEST(BlockEngineContract, EveryTarget) {
+  // Every target from 1 to n: the covering round falls at every offset
+  // within a horizon, including its first and last round and the first
+  // round of the next one.
+  std::vector<bool> seen_round(kBlockHorizon + 2, false);
+  for (auto& [name, graph, bits] : contract_instances()) {
+    if (std::string(name) == "margulis16") continue;
+    SCOPED_TRACE(name);
+    TempFile file(std::string("targets_") + name + ".mwg");
+    write_mwg(file.path(), graph, bits);
+    const BlockedGraph blocked(file.path());
+    const Vertex n = graph.num_vertices();
+    WalkEngine in_core(graph);
+    BlockWalkEngine engine(blocked, 1ull << 30);
+    for (unsigned k : {2u, 8u}) {
+      SCOPED_TRACE(k);
+      const std::vector<Vertex> starts(k, 0);
+      // One in-core walk yields every target's round: a covered run stops
+      // in its covering round, so the next target continues from there.
+      Rng rng_a(0x7a46e7ULL + k);
+      in_core.reset(starts);
+      std::uint64_t round = 0;
+      for (Vertex target = 1; target <= n; ++target) {
+        const CoverSample expect = in_core.run_until_visited(target, rng_a);
+        ASSERT_TRUE(expect.covered);
+        round += expect.steps;
+        Rng rng_b(0x7a46e7ULL + k);
+        engine.reset(starts);
+        const CoverSample got = engine.run_until_visited(target, rng_b);
+        ASSERT_EQ(round, got.steps) << "target " << target;
+        ASSERT_TRUE(got.covered) << "target " << target;
+        ASSERT_EQ(in_core.num_visited(), engine.num_visited())
+            << "target " << target;
+        if (round < seen_round.size()) seen_round[round] = true;
+      }
+    }
+  }
+  EXPECT_TRUE(seen_round[1]);
+  EXPECT_TRUE(seen_round[kBlockHorizon]);
+  EXPECT_TRUE(seen_round[kBlockHorizon + 1]);
 }
 
 // --- blocked estimators ------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/driver.hpp"
 #include "cli/experiments_common.hpp"
 #include "cli/presets.hpp"
 #include "cli/registry.hpp"
@@ -145,6 +146,36 @@ TEST(Registry, PresetResolutionPrefersExplicitFlags) {
   EXPECT_EQ(mc.min_trials, 25u);
   EXPECT_EQ(mc.max_trials, 100u);
   EXPECT_EQ(preset_mc(8).min_trials, 8u);  // floor at 8
+}
+
+TEST(Registry, TrialCountsBelowTheFloorRunExactly) {
+  // --trials below the batch floor of 8 runs exactly that many trials
+  // (the floor must never exceed max_trials).
+  for (const std::uint64_t trials : {1u, 7u, 8u}) {
+    SCOPED_TRACE(trials);
+    const McOptions mc = preset_mc(trials);
+    EXPECT_EQ(mc.min_trials, trials);
+    EXPECT_EQ(mc.max_trials, trials);
+
+    const std::filesystem::path out =
+        std::filesystem::temp_directory_path() /
+        ("manywalks_test_cli_trials_" + std::to_string(trials));
+    std::filesystem::remove_all(out);
+    std::vector<std::string> args = {"run", "--n=33",
+                                     "--trials=" + std::to_string(trials),
+                                     "--format=json", "--out=" + out.string()};
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    EXPECT_EQ(run_experiment_main("table1_summary",
+                                  static_cast<int>(argv.size()), argv.data()),
+              0);
+    std::ifstream json(out / "table1_summary.json");
+    std::stringstream text;
+    text << json.rdbuf();
+    EXPECT_NE(text.str().find("\"trials\": " + std::to_string(trials)),
+              std::string::npos);
+    std::filesystem::remove_all(out);
+  }
 }
 
 // --- sinks ------------------------------------------------------------------
