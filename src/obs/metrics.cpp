@@ -19,7 +19,6 @@ constexpr MetricInfo kMetricInfo[kMetricCount] = {
     {"walk.steps", MetricKind::kCounter},
     {"walk.rounds", MetricKind::kCounter},
     {"shard.merges", MetricKind::kCounter},
-    {"shard.merge_stalls", MetricKind::kCounter},
     {"block.bucket_passes", MetricKind::kCounter},
     {"block.block_visits", MetricKind::kCounter},
     {"block.bucket_migrations", MetricKind::kCounter},

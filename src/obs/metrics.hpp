@@ -34,8 +34,7 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 enum class Metric : std::size_t {
   kSteps = 0,         // lane-steps advanced (rounds x k)
   kRounds,            // cover/walk rounds completed
-  kMerges,            // sharded rounds that ran the index-ordered merge
-  kMergeStalls,       // sharded rounds that skipped the merge (bound < target)
+  kMerges,            // sharded epochs merged (one per kShardEpochRounds)
   kBucketPasses,      // block engine: passes over the bucket list
   kBlockVisits,       // block engine: per-block visits
   kBucketMigrations,  // walkers re-bucketed to another block after a visit

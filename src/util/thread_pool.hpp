@@ -89,12 +89,12 @@ void parallel_for_static(ThreadPool& pool, std::uint64_t count,
 
 /// A sense-reversing spin barrier for a fixed set of participants.
 ///
-/// The sharded walk engine synchronizes its worker team once per walk
-/// round; a condition-variable rendezvous costs ~10µs per round, which
-/// would swallow the speed-up on the ~µs rounds the strong-scaling gate
-/// measures. Spinning participants re-check an acquire-loaded generation
-/// counter (yielding periodically), so a round barrier costs well under a
-/// microsecond when the team is running.
+/// The sharded walk engine synchronizes its worker team twice per epoch
+/// of walk rounds; a condition-variable rendezvous costs ~10µs, which
+/// would swallow much of the speed-up on the short epochs the
+/// strong-scaling gate measures. Spinning participants re-check an
+/// acquire-loaded generation counter (yielding periodically), so a barrier
+/// costs well under a microsecond when the team is running.
 ///
 /// poison() aborts the protocol: every current and future arrive_and_wait()
 /// returns false without waiting, so a worker that failed can release the

@@ -15,9 +15,10 @@ class ThreadPool;  // util/thread_pool.hpp
 /// The automatic shard count for a k-lane trial: a pure function of k (and
 /// nothing else — NOT the thread count, NOT the pool size), so the shard
 /// cut and therefore every result is invariant under --threads
-/// (determinism contract v3). One shard per 256 lanes keeps per-shard
-/// rounds long enough to amortize the round barrier; 32 caps the merge
-/// width and the S·n/8-byte shard scratch.
+/// (determinism contract v3). One shard per 256 lanes keeps each shard's
+/// work per epoch (256 lanes × kShardEpochRounds rounds) long enough to
+/// amortize the epoch's two barriers; 32 caps the merge width and the
+/// S·n/8-byte shard scratch.
 constexpr unsigned auto_lane_shards(std::size_t lanes) noexcept {
   return std::clamp<unsigned>(static_cast<unsigned>(lanes / 256), 1u, 32u);
 }
@@ -34,9 +35,10 @@ struct CoverOptions {
   /// through the sharded driver — the golden-test configuration). The
   /// RESULT is identical in every case; only the schedule changes.
   unsigned lane_shards = 0;
-  /// Worker team for the sharded round driver: the engine runs shards on
-  /// min(shard_pool->size()+1, shards) executors (the calling thread
-  /// participates). Null = shards run inline on the caller. Not owned.
+  /// Worker team for the sharded epoch driver: the engine runs shards on
+  /// min(shard_pool->size()+1, shards, hardware_concurrency) executors
+  /// (the calling thread participates). Null = shards run inline on the
+  /// caller. Not owned.
   ThreadPool* shard_pool = nullptr;
 };
 

@@ -31,6 +31,7 @@
 #include <memory>
 #include <ranges>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -301,6 +302,11 @@ inline void lane_round_csr_regular(const S& substrate, Draw draw,
 
 }  // namespace detail
 
+/// Rounds per epoch of the sharded driver: long enough to amortize the
+/// merge (S·n/64 words) and its two barriers, short enough that the serial
+/// replay of the covering epoch stays a small share of a trial.
+inline constexpr std::uint64_t kShardEpochRounds = 32;
+
 template <class S>
 class WalkEngineT {
   static_assert(Substrate<S>,
@@ -533,17 +539,18 @@ class WalkEngineT {
     }
   }
 
-  // --- sharded round driver (determinism contract v3) -----------------------
+  // --- sharded epoch driver (determinism contract v3) -----------------------
   //
   // Lanes are cut into `shards` contiguous blocks, shard s = lanes
   // [s·k/S, (s+1)·k/S) — a pure function of (k, S), and S itself is a pure
   // function of the CoverOptions plan (never of the pool size), so the
   // schedule assigns the SAME lanes the SAME streams for every thread
-  // count. Each round, every shard advances its lanes with the serial lane
-  // kernels into its private ShardedVisitTracker bitmap; the round barrier
-  // then publishes the per-shard counts and every worker replicates the
-  // cover decision from shared state, so all of them take the same branch
-  // without a coordinator.
+  // count. Rounds run in epochs of kShardEpochRounds: every shard advances
+  // its lanes through the whole epoch with the serial lane kernels into its
+  // private ShardedVisitTracker bitmap, the team merges once, and every
+  // worker replicates the one cover decision from barrier-protected
+  // partials. An epoch that crosses the target is replayed serially from
+  // its saved start, which yields the exact crossing round and end state.
 
   /// First lane of shard s when k lanes split into `shards` blocks.
   static std::size_t shard_lane_begin(std::size_t k, unsigned shards,
@@ -579,17 +586,18 @@ class WalkEngineT {
     return *sharded_scratch_;
   }
 
-  /// The team is the caller plus at most team-1 pool workers, pinned to
-  /// contiguous shard blocks via parallel_for_static. The first worker
-  /// exception is rethrown after the join (the barrier is poisoned on
-  /// failure so the rest of the team exits instead of deadlocking).
+  /// The team is the caller plus pool workers, pinned to contiguous shard
+  /// blocks via parallel_for_static, and never larger than the shard count
+  /// or the core count (spinning executors beyond the cores only steal
+  /// time from each other). The first worker exception is rethrown after
+  /// the join (the barrier is poisoned on failure so the rest of the team
+  /// exits instead of deadlocking).
   template <bool kLazy>
   CoverSample run_until_visited_sharded(Vertex target,
                                         const CoverOptions& options,
                                         unsigned shards) {
     ShardedVisitTracker& trk = ensure_sharded_scratch(shards);
-    trk.reset();
-    trk.seed_merged(tracker_.words(), tracker_.num_visited());
+    trk.reset(tracker_.words());
 
     const S substrate = substrate_;
     Vertex* const toks = tokens_.data();
@@ -597,49 +605,55 @@ class WalkEngineT {
     const std::size_t k = tokens_.size();
     const double laziness = options.laziness;
     const std::size_t wps = trk.words_per_shard();
+    epoch_tokens_.resize(k);
+    epoch_rngs_.resize(k);
 
     ThreadPool* const pool = options.shard_pool;
+    static const unsigned cores =
+        std::max(1u, std::thread::hardware_concurrency());
     const auto team =
-        pool == nullptr
-            ? 1u
-            : static_cast<unsigned>(
-                  std::min<std::uint64_t>(pool->size() + 1, shards));
+        pool == nullptr ? 1u
+                        : static_cast<unsigned>(std::min<std::uint64_t>(
+                              {pool->size() + 1, shards, cores}));
 
     SpinBarrier barrier(team);
     std::vector<Vertex> partials(team, 0);
     std::vector<std::exception_ptr> errors(team);
+    // Worker 0's copy of the replicated control state at exit: the epoch
+    // start and length, the union buffer holding the visited set at that
+    // start (and its size), and whether the epoch crossed the target.
     struct WorkerResult {
-      std::uint64_t steps = 0;
+      std::uint64_t epoch_start = 0;
+      std::uint64_t epoch_rounds = 0;
       std::uint64_t visited = 0;
-      std::uint64_t merges = 0;
-      std::uint64_t merge_stalls = 0;
-      bool covered = false;
+      unsigned parity = 0;
+      bool crossed = false;
     };
-    std::vector<WorkerResult> results(team);
+    WorkerResult result;
 
     const auto worker = [&](std::uint64_t w) {
       try {
         const auto shard_begin = static_cast<unsigned>(w * shards / team);
         const auto shard_end = static_cast<unsigned>((w + 1) * shards / team);
+        const std::size_t own_begin = shard_lane_begin(k, shards, shard_begin);
+        const std::size_t own_end = shard_lane_begin(k, shards, shard_end);
         const std::size_t word_begin = w * wps / team;
         const std::size_t word_end = (w + 1) * wps / team;
 
-        // Replicated control: every branch below depends only on shared
-        // state that is final at the preceding barrier, so all workers
-        // agree without a coordinator.
+        // Replicated control: every branch below depends only on
+        // worker-local state and partials that are final at the preceding
+        // barrier, so all workers agree without a coordinator.
+        WorkerResult state;
+        state.visited = tracker_.num_visited();
         std::uint64_t t = 0;
-        std::uint64_t exact = trk.merged_count();
-        std::uint64_t merges = 0;
-        std::uint64_t merge_stalls = 0;
-        bool covered = false;
         while (t < options.step_cap) {
-          ++t;
+          const std::uint64_t rounds =
+              std::min(kShardEpochRounds, options.step_cap - t);
           // Worker 0 IS the calling thread (parallel_for_static runs chunk
-          // 0 on the caller), so the heartbeat and the
-          // queue-depth sample stay single-threaded. Printing is the only
-          // effect — the walk and merge schedule below never reads the
-          // clock.
-          if (w == 0 && (t & 255u) == 0) {
+          // 0 on the caller), so the heartbeat and the queue-depth sample
+          // stay single-threaded. Printing is the only effect — the walk
+          // and merge schedule below never reads the clock.
+          if (w == 0 && ((t + rounds) >> 8) != (t >> 8)) {
             if (obs::RunObserver* const o = obs::observer(); o != nullptr) {
               if (o->metrics != nullptr && pool != nullptr) {
                 obs::thread_counters().note_max(obs::Metric::kPoolQueuePeak,
@@ -648,55 +662,37 @@ class WalkEngineT {
               if (o->progress != nullptr) o->progress->tick();
             }
           }
-          const auto parity = static_cast<unsigned>(t & 1);
+          std::copy(toks + own_begin, toks + own_end,
+                    epoch_tokens_.data() + own_begin);
+          std::copy(rngs + own_begin, rngs + own_end,
+                    epoch_rngs_.data() + own_begin);
           for (unsigned s = shard_begin; s < shard_end; ++s) {
             const std::size_t lane_begin = shard_lane_begin(k, shards, s);
             const std::size_t lane_end = shard_lane_begin(k, shards, s + 1);
-            Vertex shard_visited = trk.shard_visited(s);
+            Vertex new_to_shard = 0;  // the union count comes from the merge
             with_lane_round<kLazy, false>(
                 substrate, toks + lane_begin, rngs + lane_begin,
                 lane_end - lane_begin, laziness, trk.shard_words(s),
-                shard_visited, nullptr, [](auto&& round) { round(); });
-            trk.set_shard_visited(s, shard_visited);
-            // Freeze this round's count BEFORE the barrier: the decision
-            // below must read parity-t data only, never live counters a
-            // fast worker is already bumping in round t+1.
-            trk.publish_shard(parity, s);
+                new_to_shard, nullptr, [&](auto&& round) {
+                  for (std::uint64_t r = 0; r < rounds; ++r) round();
+                });
           }
           if (!barrier.arrive_and_wait()) return;
-          // The bound never undercounts the union, so a below-target bound
-          // proves the exact merge can be skipped this round; the final
-          // round always merges so the post-state is exact. Its inputs are
-          // the frozen parity-t deltas plus this worker's OWN replica of
-          // the exact count — no live shared state, so every worker takes
-          // the same branch (anything less desyncs the barrier pairing:
-          // the merge path arrives twice per round, the skip path once).
-          const bool final_round = t >= options.step_cap;
-          if (trk.upper_bound_visited(parity, exact) < target && !final_round) {
-            // The skip decision is replicated, so every worker's stall
-            // count is the same; the coordinator flushes worker 0's.
-            ++merge_stalls;
-            continue;
-          }
-          ++merges;
-          partials[w] = trk.merge_range(word_begin, word_end);
-          for (unsigned s = shard_begin; s < shard_end; ++s) {
-            trk.snapshot_shard(s);
-          }
+          partials[w] = trk.merge_range(state.parity, word_begin, word_end);
           if (!barrier.arrive_and_wait()) return;
           std::uint64_t total = 0;
           for (const Vertex partial : partials) total += partial;
-          exact = total;
-          // Tracker bookkeeping only (post-run state): during the run no
-          // peer reads merged_count_ — the replicated decision uses each
-          // worker's local `exact` replica of this same reduction.
-          if (w == 0) trk.set_merged_count(static_cast<Vertex>(total));
+          state.epoch_start = t;
+          state.epoch_rounds = rounds;
+          t += rounds;
           if (total >= target) {
-            covered = true;
+            state.crossed = true;
             break;
           }
+          state.parity ^= 1;
+          state.visited = total;
         }
-        results[w] = {t, exact, merges, merge_stalls, covered};
+        if (w == 0) result = state;
       } catch (...) {
         errors[w] = std::current_exception();
         barrier.poison();
@@ -711,22 +707,32 @@ class WalkEngineT {
       if (error) std::rethrow_exception(error);
     }
 
-    // Observability flush on the calling thread after the team joined; the
-    // merge/stall decisions are replicated so worker 0's counts are exact.
+    // Observability flush on the calling thread after the team joined: one
+    // merge per epoch.
     if (obs::RunObserver* const o = obs::observer();
         o != nullptr && o->metrics != nullptr) {
-      obs::WorkerCounters& scratch = obs::thread_counters();
-      scratch.add(obs::Metric::kMerges, results[0].merges);
-      scratch.add(obs::Metric::kMergeStalls, results[0].merge_stalls);
+      obs::thread_counters().add(obs::Metric::kMerges,
+                                 result.epoch_start / kShardEpochRounds + 1);
     }
 
-    // Post-state identical to the serial path: the merged bitmap is the
-    // run's visited set (the final round always merged).
-    std::copy(trk.merged_words(), trk.merged_words() + wps, tracker_.words());
-    tracker_.set_num_visited(static_cast<Vertex>(results[0].visited));
+    std::copy(trk.union_words(result.parity),
+              trk.union_words(result.parity) + wps, tracker_.words());
+    tracker_.set_num_visited(static_cast<Vertex>(result.visited));
     CoverSample sample;
-    sample.covered = results[0].covered;
-    sample.steps = results[0].covered ? results[0].steps : options.step_cap;
+    if (!result.crossed) {  // capped: the last merged union is the end state
+      sample.steps = options.step_cap;
+      return sample;
+    }
+    // The target fell inside the last epoch: rewind to its start and replay
+    // it serially, which stops at the exact crossing round with the serial
+    // path's tokens, lane streams and visited set.
+    std::copy(epoch_tokens_.begin(), epoch_tokens_.end(), tokens_.begin());
+    std::copy(epoch_rngs_.begin(), epoch_rngs_.end(), rngs);
+    CoverOptions replay = options;
+    replay.step_cap = result.epoch_rounds;
+    sample = run_until_visited_lane<kLazy>(target, replay);
+    MW_ASSERT(sample.covered);
+    sample.steps += result.epoch_start;
     return sample;
   }
 
@@ -799,8 +805,11 @@ class WalkEngineT {
   bool lanes_seeded_ = false;
   // Sharded-run scratch, cached across trials (a Monte-Carlo estimate
   // reruns the same (n, shards) thousands of times; reset() is an O(S·n/64)
-  // fill, reallocation is not).
+  // fill, reallocation is not), plus each epoch's starting tokens and lane
+  // streams for the replay of the covering epoch.
   std::unique_ptr<ShardedVisitTracker> sharded_scratch_;
+  std::vector<Vertex> epoch_tokens_;
+  std::vector<Rng> epoch_rngs_;
 };
 
 // The instantiations every caller uses live in engine.cpp; a custom

@@ -1,5 +1,5 @@
 // Visited-set scratch of the walk engines: one bit per vertex, plus the
-// per-shard bitmaps of the sharded round driver.
+// per-shard bitmaps of the sharded epoch driver.
 #pragma once
 
 #include <algorithm>
@@ -64,78 +64,45 @@ class WordVisitTracker {
   Vertex num_visited_ = 0;
 };
 
-/// Per-shard word bitmaps plus an index-ordered merge: the visited-set
-/// scratch of the sharded round driver (determinism contract v3,
-/// docs/ARCHITECTURE.md). Each lane shard commits visits into its own
+/// Per-shard word bitmaps plus a ping-pong pair of union buffers: the
+/// visited-set scratch of the sharded epoch driver (determinism contract
+/// v3, docs/ARCHITECTURE.md). Each lane shard commits visits into its own
 /// private bitmap (reusing the serial lane kernels unchanged — a shard's
-/// words pointer is bit-compatible with WordVisitTracker's), so the round
-/// loop shares no mutable state between shards. Cover detection works on
-/// two levels:
+/// words pointer is bit-compatible with WordVisitTracker's), so an epoch
+/// of rounds shares no mutable state between shards. Shard bitmaps are
+/// cumulative over a run; a bit in one means "new to that shard" only.
 ///
-///   * upper_bound_visited(parity, merged) — the caller's merged count +
-///     Σ_s (shard bits since that shard's last snapshot) — costs
-///     O(#shards) reads and never undercounts the true union (every union
-///     bit is set in the merged bitmap or was counted by exactly one
-///     shard-new event), so checking it each round can never miss the
-///     crossing round. Every input is frozen or worker-local: the deltas
-///     it sums are PUBLISHED per-round copies (publish_shard), double-
-///     buffered by round parity, and the merged count is the caller's own
-///     replica of the reduce result. Live counters are already mutating in
-///     round t+1 while slower workers still evaluate round t's bound — a
-///     decision read from any live shared state can diverge between
-///     workers, desynchronizing their barrier arrivals (one worker takes
-///     the two-barrier merge path, another the one-barrier skip path) and
-///     deadlocking or corrupting the round count from then on. Frozen
-///     parity-t data keeps the replicated cover decision identical on
-///     every worker (and race-free: round t+2's writes to the parity-t
-///     buffer are separated from round t's reads by the t+1 barrier).
-///   * merge_range()/finish snapshot — the exact count: OR every shard's
-///     words into the merged bitmap (shard index order, though OR makes
-///     any order bit-identical) and popcount. Run only in rounds where the
-///     upper bound reaches the target; snapshotting the shard counters
-///     afterwards re-tightens the bound, so merges space out geometrically
-///     as coverage saturates.
+/// After each epoch, merge_range(from, ...) writes
+/// `union[from ^ 1] = union[from] | OR_s shard[s]` over a word range and
+/// returns its popcount. Disjoint ranges may run concurrently, and the
+/// full-range sum of the returns is the exact union size. The source
+/// buffer is left intact, so if the epoch crossed the cover target the
+/// caller still holds the visited set as of the epoch's start.
 ///
-/// The merged bitmap is also the seed channel: seed_merged() preloads the
-/// engine's pre-run visited set (the starts, or earlier chunked runs), and
-/// after the final merge it IS the run's visited set, copied back verbatim.
+/// union(0) is also the seed channel: seed() preloads the engine's pre-run
+/// visited set (the starts, or earlier chunked runs).
 class ShardedVisitTracker {
  public:
   ShardedVisitTracker(Vertex num_vertices, unsigned num_shards)
       : words_per_shard_((static_cast<std::size_t>(num_vertices) + 63) / 64),
-        num_vertices_(num_vertices),
         num_shards_(num_shards),
         shard_words_(words_per_shard_ * num_shards),
-        merged_(words_per_shard_),
-        visited_(num_shards),
-        baseline_(num_shards),
-        published_(2 * static_cast<std::size_t>(num_shards)) {}
+        unions_(2 * words_per_shard_) {}
 
-  void reset() {
+  /// Clears every shard bitmap and preloads union(0) with `words`.
+  void reset(const std::uint64_t* words) {
     std::fill(shard_words_.begin(), shard_words_.end(), 0);
-    std::fill(merged_.begin(), merged_.end(), 0);
-    for (auto& c : visited_) c.value = 0;
-    for (auto& c : baseline_) c.value = 0;
-    for (auto& c : published_) c.value = 0;
-    merged_count_ = 0;
+    std::copy(words, words + words_per_shard_, unions_.begin());
   }
 
   unsigned num_shards() const noexcept { return num_shards_; }
-  Vertex num_vertices() const noexcept { return num_vertices_; }
   std::size_t words_per_shard() const noexcept { return words_per_shard_; }
 
   /// Shard s's private bitmap — handed to the lane round kernels as their
-  /// `words` scratch. Only shard s's executor may write it between merges.
+  /// `words` scratch. Only shard s's executor may write it within an epoch.
   std::uint64_t* shard_words(unsigned s) {
     return shard_words_.data() + static_cast<std::size_t>(s) * words_per_shard_;
   }
-  const std::uint64_t* shard_words(unsigned s) const {
-    return shard_words_.data() + static_cast<std::size_t>(s) * words_per_shard_;
-  }
-
-  /// Bits set in shard s's own bitmap (exact for the shard, NOT global).
-  Vertex shard_visited(unsigned s) const { return visited_[s].value; }
-  void set_shard_visited(unsigned s, Vertex count) { visited_[s].value = count; }
 
   /// Commits v into shard s; true iff the bit was new TO THAT SHARD.
   bool visit(unsigned s, Vertex v) {
@@ -143,112 +110,38 @@ class ShardedVisitTracker {
     const std::uint64_t bit = std::uint64_t{1} << (v & 63);
     if ((word & bit) != 0) return false;
     word |= bit;
-    ++visited_[s].value;
     return true;
   }
 
-  /// Preloads the merged bitmap (and its exact count) with a pre-run
-  /// visited set; shard bitmaps stay empty.
-  void seed_merged(const std::uint64_t* words, Vertex visited) {
-    std::copy(words, words + words_per_shard_, merged_.begin());
-    merged_count_ = visited;
+  /// Union buffer `which` (0 or 1).
+  const std::uint64_t* union_words(unsigned which) const noexcept {
+    return unions_.data() + static_cast<std::size_t>(which) * words_per_shard_;
   }
 
-  /// Freezes shard s's count-since-last-snapshot DELTA into the round-
-  /// `parity` publish buffer. The shard's executor calls this after its
-  /// round work, BEFORE the round barrier; upper_bound_visited(parity)
-  /// then reads only frozen data. Publishing the delta (not the absolute
-  /// count) matters: baseline_[s] is re-snapshotted by the owner DURING a
-  /// merge round, between the round barrier and the reduce barrier — a
-  /// window in which a slower peer may still be evaluating that round's
-  /// bound. Folding the baseline in at publish time (owner-only reads of
-  /// owner-only state) keeps every input of the peer-visible bound frozen.
-  void publish_shard(unsigned parity, unsigned s) {
-    published_[static_cast<std::size_t>(parity) * num_shards_ + s].value =
-        visited_[s].value - baseline_[s].value;
-  }
-
-  /// merged + Σ_s shard-new bits since each shard's last snapshot, summed
-  /// from the round-`parity` PUBLISHED deltas — an upper bound on the true
-  /// union size, so `upper_bound < target` proves the target was not
-  /// reached and the exact merge can be skipped. `merged` is the CALLER'S
-  /// replica of the exact union count (every team worker reduces the same
-  /// partials, so each holds an identical copy): the member merged_count_
-  /// must not feed a replicated decision because worker 0 updates it after
-  /// the reduce barrier, a window a fast peer's next-round bound read can
-  /// outrun. With frozen deltas and a worker-local merged count the cover
-  /// decision reads no live shared state at all, which is what keeps it
-  /// identical on every worker of a team.
-  std::uint64_t upper_bound_visited(unsigned parity,
-                                    std::uint64_t merged) const {
-    std::uint64_t bound = merged;
-    const std::size_t base = static_cast<std::size_t>(parity) * num_shards_;
-    for (unsigned s = 0; s < num_shards_; ++s) {
-      bound += published_[base + s].value;
-    }
-    return bound;
-  }
-
-  /// ORs every shard's words in [word_begin, word_end) into the merged
-  /// bitmap and returns the popcount of that merged range. Disjoint ranges
-  /// may run concurrently; the full-range sum of returns is the exact
-  /// union size.
-  Vertex merge_range(std::size_t word_begin, std::size_t word_end) {
+  /// ORs union(from) and every shard's words in [word_begin, word_end)
+  /// into union(from ^ 1) and returns the popcount of that range.
+  Vertex merge_range(unsigned from, std::size_t word_begin,
+                     std::size_t word_end) {
+    const std::uint64_t* const before = union_words(from);
+    std::uint64_t* const after =
+        unions_.data() + static_cast<std::size_t>(from ^ 1) * words_per_shard_;
     Vertex count = 0;
     for (std::size_t w = word_begin; w < word_end; ++w) {
-      std::uint64_t word = merged_[w];
+      std::uint64_t word = before[w];
       for (unsigned s = 0; s < num_shards_; ++s) {
         word |= shard_words(s)[w];
       }
-      merged_[w] = word;
+      after[w] = word;
       count += static_cast<Vertex>(std::popcount(word));
     }
     return count;
   }
 
-  /// Re-tightens the upper bound after a merge absorbed shard s's bits.
-  void snapshot_shard(unsigned s) { baseline_[s].value = visited_[s].value; }
-
-  Vertex merged_count() const noexcept { return merged_count_; }
-  void set_merged_count(Vertex count) { merged_count_ = count; }
-  const std::uint64_t* merged_words() const noexcept { return merged_.data(); }
-
-  bool merged_visited(Vertex v) const {
-    return ((merged_[v >> 6] >> (v & 63)) & 1) != 0;
-  }
-
-  /// Serial full merge: exact union count, bound re-tightened (both publish
-  /// buffers refreshed so upper_bound_visited is coherent for either
-  /// parity). The convenience form of the range API (tests, single-threaded
-  /// callers).
-  Vertex merge_exact() {
-    const Vertex count = merge_range(0, words_per_shard_);
-    for (unsigned s = 0; s < num_shards_; ++s) {
-      snapshot_shard(s);
-      publish_shard(0, s);
-      publish_shard(1, s);
-    }
-    set_merged_count(count);
-    return count;
-  }
-
  private:
-  /// Shard counters are written by different executors every round; pad to
-  /// a cache line so they never false-share.
-  struct alignas(64) PaddedCount {
-    Vertex value = 0;
-  };
-
   std::size_t words_per_shard_;
-  Vertex num_vertices_;
   unsigned num_shards_;
   std::vector<std::uint64_t> shard_words_;
-  std::vector<std::uint64_t> merged_;
-  std::vector<PaddedCount> visited_;
-  std::vector<PaddedCount> baseline_;
-  /// Two parity-indexed rows of per-shard counts (see publish_shard).
-  std::vector<PaddedCount> published_;
-  Vertex merged_count_ = 0;
+  std::vector<std::uint64_t> unions_;
 };
 
 }  // namespace manywalks

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -478,9 +480,10 @@ TEST(WalkEngine, ShardCountAndThreadCountAreInvisible) {
 }
 
 TEST(WalkEngine, ShardedPartialTargetsMatchSerial) {
-  // Partial-cover targets exercise the merge-on-demand bound: the sharded
-  // driver must stop at exactly the serial crossing round, never one late
-  // (a late stop means the cover decision diverged or the bound missed).
+  // Partial-cover targets exercise the replay of the covering epoch: the
+  // sharded driver must stop at exactly the serial crossing round, never
+  // at the epoch's end (a late stop means the replay was skipped or
+  // started from the wrong state).
   const Graph g = make_cycle(512);
   WalkEngine serial(g);
   WalkEngine sharded(g);
@@ -523,6 +526,96 @@ TEST(WalkEngine, ShardedStepCapTruncatesLikeSerial) {
   Vertex bits = 0;
   for (Vertex v = 0; v < g.num_vertices(); ++v) bits += engine.visited(v);
   EXPECT_EQ(bits, engine.num_visited());
+}
+
+TEST(WalkEngine, ShardedEndStateMatchesSerial) {
+  // The sharded driver replays its covering epoch serially from the
+  // epoch's saved tokens and lane streams. Its end state must be the
+  // serial lane run's: same tokens and visited set after the run, and the
+  // same again after both engines continue with a fixed-steps run and a
+  // second, higher-target run. Caps of 45 and 64 rounds stop mid-epoch
+  // and on an epoch boundary.
+  constexpr std::uint64_t kNoCap = CoverOptions{}.step_cap;
+  ThreadPool pool1(1);
+  ThreadPool pool3(3);
+  std::vector<Instance> instances;
+  instances.push_back({"grid2d", make_grid_2d(12)});  // staged CSR round
+  instances.push_back({"margulis", make_margulis_expander(16)});  // stride
+  std::uint64_t capped = 0;
+  std::uint64_t mid_epoch = 0;
+  for (const auto& [name, g] : instances) {
+    const Vertex n = g.num_vertices();
+    WalkEngine serial(g);
+    WalkEngine sharded(g);
+    std::vector<Vertex> starts;
+    for (Vertex i = 0; i < 8; ++i) starts.push_back(i * 37 % n);
+    const auto expect_same_state = [&](const char* phase) {
+      ASSERT_EQ(serial.num_visited(), sharded.num_visited()) << phase;
+      const auto a = serial.tokens();
+      const auto b = sharded.tokens();
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << phase;
+      for (Vertex v = 0; v < n; ++v) {
+        ASSERT_EQ(serial.visited(v), sharded.visited(v)) << phase << " v=" << v;
+      }
+    };
+    for (const double laziness : {0.0, 0.3}) {
+      for (const auto& [target, cap] :
+           {std::pair<Vertex, std::uint64_t>{n / 4, kNoCap},
+            {n / 2, kNoCap}, {n, kNoCap}, {n / 2, 45}, {n, 45}, {n, 64}}) {
+        for (const unsigned shards : {1u, 2u, 8u}) {
+          for (ThreadPool* pool : {(ThreadPool*)nullptr, &pool1, &pool3}) {
+            for (std::uint64_t trial = 0; trial < 3; ++trial) {
+              SCOPED_TRACE(testing::Message()
+                           << name << " laziness=" << laziness
+                           << " target=" << target << " cap=" << cap
+                           << " shards=" << shards
+                           << " pool=" << (pool == nullptr ? 0 : pool->size())
+                           << " trial=" << trial);
+              CoverOptions serial_opt;
+              serial_opt.laziness = laziness;
+              serial_opt.step_cap = cap;
+              CoverOptions opt = serial_opt;
+              opt.lane_shards = shards;
+              opt.shard_pool = pool;
+              Rng ref_rng = make_trial_rng(0x5eedULL, trial);
+              Rng rng = make_trial_rng(0x5eedULL, trial);
+              serial.reset(starts);
+              sharded.reset(starts);
+              const CoverSample expected =
+                  serial.run_until_visited(target, ref_rng, serial_opt);
+              const CoverSample actual =
+                  sharded.run_until_visited(target, rng, opt);
+              ASSERT_EQ(expected.steps, actual.steps);
+              ASSERT_EQ(expected.covered, actual.covered);
+              capped += expected.covered ? 0 : 1;
+              mid_epoch += expected.steps % kShardEpochRounds != 0 ? 1 : 0;
+              expect_same_state("first run");
+
+              serial.run_for_steps(37, ref_rng, laziness);
+              sharded.run_for_steps(37, rng, laziness);
+              expect_same_state("run_for_steps");
+
+              const Vertex higher =
+                  std::min<Vertex>(n, serial.num_visited() + n / 4);
+              serial_opt.step_cap = kNoCap;
+              opt.step_cap = kNoCap;
+              const CoverSample expected2 =
+                  serial.run_until_visited(higher, ref_rng, serial_opt);
+              const CoverSample actual2 =
+                  sharded.run_until_visited(higher, rng, opt);
+              ASSERT_EQ(expected2.steps, actual2.steps);
+              ASSERT_EQ(expected2.covered, actual2.covered);
+              expect_same_state("second run");
+              ASSERT_EQ(ref_rng.state(), rng.state());
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep really exercised capped runs and mid-epoch crossings.
+  EXPECT_GT(capped, 0u);
+  EXPECT_GT(mid_epoch, 0u);
 }
 
 TEST(WalkEngine, LaneAndSharedStreamDistributionsAgree) {

@@ -425,9 +425,9 @@ TEST(ObsGolden, ShardedCoverRunIsBitIdenticalUnderFullObservation) {
   // The sharded run accounted its rounds and steps exactly.
   EXPECT_EQ(registry.value(Metric::kRounds), observed.steps);
   EXPECT_EQ(registry.value(Metric::kSteps), observed.steps * kK);
-  EXPECT_GT(registry.value(Metric::kMerges) +
-                registry.value(Metric::kMergeStalls),
-            0u);
+  // One merge per epoch, the covering epoch included.
+  EXPECT_EQ(registry.value(Metric::kMerges),
+            (observed.steps + kShardEpochRounds - 1) / kShardEpochRounds);
 }
 
 TEST(ObsGolden, HittingTimeEstimateCountsItsWalkStepsAndStaysInert) {

@@ -1,5 +1,5 @@
 // Units for the lane-sharded execution layer (determinism contract v3,
-// docs/ARCHITECTURE.md): ShardedVisitTracker, the round barrier, the
+// docs/ARCHITECTURE.md): ShardedVisitTracker, the epoch barrier, the
 // static team partitioner, and the thread-budget policy. End-to-end
 // shard/thread invariance of the engine itself lives in
 // tests/test_engine.cpp.
@@ -13,6 +13,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mc/monte_carlo.hpp"
@@ -25,19 +26,27 @@ namespace {
 
 // --- ShardedVisitTracker ----------------------------------------------------
 
+/// Whether v's bit is set in a bitmap of tracker words.
+bool bit_set(const std::uint64_t* words, Vertex v) {
+  return ((words[v >> 6] >> (v & 63)) & 1) != 0;
+}
+
 TEST(ShardedVisitTracker, VisitIsPerShardExact) {
   ShardedVisitTracker trk(128, 3);
   EXPECT_TRUE(trk.visit(0, 5));
   EXPECT_FALSE(trk.visit(0, 5));  // repeat within a shard: not new
   EXPECT_TRUE(trk.visit(1, 5));   // same vertex, other shard: new TO IT
   EXPECT_TRUE(trk.visit(1, 64));
-  EXPECT_EQ(trk.shard_visited(0), 1u);
-  EXPECT_EQ(trk.shard_visited(1), 2u);
-  EXPECT_EQ(trk.shard_visited(2), 0u);
+  EXPECT_TRUE(bit_set(trk.shard_words(0), 5));
+  EXPECT_FALSE(bit_set(trk.shard_words(0), 64));
+  EXPECT_TRUE(bit_set(trk.shard_words(1), 64));
+  EXPECT_FALSE(bit_set(trk.shard_words(2), 5));
 }
 
 TEST(ShardedVisitTracker, MergeCountsUnionNotSum) {
+  const std::vector<std::uint64_t> empty(4, 0);
   ShardedVisitTracker trk(256, 4);
+  trk.reset(empty.data());
   // Overlapping visit sets: shard s marks multiples of s+1 below 100.
   std::set<Vertex> expected;
   for (unsigned s = 0; s < 4; ++s) {
@@ -46,17 +55,20 @@ TEST(ShardedVisitTracker, MergeCountsUnionNotSum) {
       expected.insert(v);
     }
   }
-  EXPECT_EQ(trk.merge_exact(), static_cast<Vertex>(expected.size()));
+  EXPECT_EQ(trk.merge_range(0, 0, 4), static_cast<Vertex>(expected.size()));
   for (Vertex v = 0; v < 256; ++v) {
-    EXPECT_EQ(trk.merged_visited(v), expected.count(v) == 1) << "v=" << v;
+    EXPECT_EQ(bit_set(trk.union_words(1), v), expected.count(v) == 1)
+        << "v=" << v;
   }
-  // Idempotent: re-merging with no new visits is the same union.
-  EXPECT_EQ(trk.merge_exact(), static_cast<Vertex>(expected.size()));
+  // Idempotent: merging back with no new visits is the same union.
+  EXPECT_EQ(trk.merge_range(1, 0, 4), static_cast<Vertex>(expected.size()));
 }
 
 TEST(ShardedVisitTracker, RangeMergePartialsSumToExactCount) {
   const Vertex n = 1000;  // 16 words: an uneven split exercises tiling
+  const std::vector<std::uint64_t> empty(16, 0);
   ShardedVisitTracker trk(n, 2);
+  trk.reset(empty.data());
   Rng rng(7);
   std::set<Vertex> expected;
   for (int i = 0; i < 500; ++i) {
@@ -67,87 +79,74 @@ TEST(ShardedVisitTracker, RangeMergePartialsSumToExactCount) {
   const std::size_t wps = trk.words_per_shard();
   std::uint64_t total = 0;
   // Three deliberately uneven ranges tile [0, wps).
-  total += trk.merge_range(0, wps / 3);
-  total += trk.merge_range(wps / 3, wps - 1);
-  total += trk.merge_range(wps - 1, wps);
+  total += trk.merge_range(0, 0, wps / 3);
+  total += trk.merge_range(0, wps / 3, wps - 1);
+  total += trk.merge_range(0, wps - 1, wps);
   EXPECT_EQ(total, expected.size());
 }
 
 TEST(ShardedVisitTracker, SeededBitsSurviveMerge) {
   ShardedVisitTracker trk(128, 2);
   const std::uint64_t words[2] = {(1ull << 3), (1ull << (100 - 64))};
-  trk.seed_merged(words, 2);
+  trk.reset(words);
   trk.visit(0, 3);    // already in the seed
   trk.visit(1, 42);   // genuinely new
-  EXPECT_EQ(trk.merge_exact(), 3u);
-  EXPECT_TRUE(trk.merged_visited(3));
-  EXPECT_TRUE(trk.merged_visited(100));
-  EXPECT_TRUE(trk.merged_visited(42));
+  EXPECT_EQ(trk.merge_range(0, 0, 2), 3u);
+  EXPECT_TRUE(bit_set(trk.union_words(1), 3));
+  EXPECT_TRUE(bit_set(trk.union_words(1), 100));
+  EXPECT_TRUE(bit_set(trk.union_words(1), 42));
 }
 
-TEST(ShardedVisitTracker, PublishedBoundNeverUndercountsUnion) {
-  const Vertex n = 512;
+TEST(ShardedVisitTracker, PingPongMergeKeepsTheEpochStartUnion) {
+  // The epoch driver merges union(p) into union(p ^ 1) and, when the
+  // target was crossed, replays from union(p): the source buffer must come
+  // out of every merge untouched, while the partials over a range tiling
+  // sum to the exact union.
+  const Vertex n = 700;  // 11 words, the last one partial
+  const std::vector<std::uint64_t> empty(11, 0);
   ShardedVisitTracker trk(n, 3);
-  Rng rng(21);
+  trk.reset(empty.data());
+  Rng rng(33);
   std::set<Vertex> expected;
-  std::uint64_t merged = 0;  // worker-local replica, as the engine keeps it
-  for (int round = 1; round <= 40; ++round) {
-    for (unsigned s = 0; s < 3; ++s) {
-      for (int i = 0; i < 5; ++i) {
-        const auto v = static_cast<Vertex>(rng.uniform_below_wide(n));
-        trk.visit(s, v);
-        expected.insert(v);
-      }
-      trk.publish_shard(round & 1, s);
+  unsigned from = 0;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    const std::vector<std::uint64_t> before(
+        trk.union_words(from), trk.union_words(from) + trk.words_per_shard());
+    for (int i = 0; i < 40; ++i) {
+      const auto v = static_cast<Vertex>(rng.uniform_below_wide(n));
+      trk.visit(static_cast<unsigned>(i % 3), v);
+      expected.insert(v);
     }
-    const std::uint64_t bound =
-        trk.upper_bound_visited(static_cast<unsigned>(round & 1), merged);
-    EXPECT_GE(bound, expected.size()) << "round=" << round;
-    if (round % 7 == 0) {
-      merged = trk.merge_exact();
-      EXPECT_EQ(merged, expected.size());
-      // merge_exact snapshots every shard and republishes both parities,
-      // so the re-tightened bound collapses to the exact count.
-      EXPECT_EQ(trk.upper_bound_visited(0, merged), expected.size());
-      EXPECT_EQ(trk.upper_bound_visited(1, merged), expected.size());
+    const std::size_t wps = trk.words_per_shard();
+    std::uint64_t total = 0;
+    for (const auto& [b, e] : {std::pair<std::size_t, std::size_t>{0, 4},
+                               {4, 5}, {5, wps}}) {
+      total += trk.merge_range(from, b, e);
     }
+    EXPECT_EQ(total, expected.size()) << "epoch=" << epoch;
+    for (std::size_t w = 0; w < wps; ++w) {
+      EXPECT_EQ(trk.union_words(from)[w], before[w]) << "word=" << w;
+    }
+    for (Vertex v = 0; v < n; ++v) {
+      EXPECT_EQ(bit_set(trk.union_words(from ^ 1), v), expected.count(v) == 1)
+          << "epoch=" << epoch << " v=" << v;
+    }
+    from ^= 1;
   }
 }
 
-TEST(ShardedVisitTracker, PublishFreezesDeltasPerParity) {
-  ShardedVisitTracker trk(128, 1);
-  trk.visit(0, 1);
-  trk.visit(0, 2);
-  trk.publish_shard(0, 0);
-  // Later visits must not leak into the already-published parity-0 row.
-  trk.visit(0, 3);
-  trk.publish_shard(1, 0);
-  EXPECT_EQ(trk.upper_bound_visited(0, 0), 2u);
-  EXPECT_EQ(trk.upper_bound_visited(1, 0), 3u);
-  // Snapshot re-bases the delta; a fresh publish reports only post-snapshot
-  // visits while the frozen row is untouched.
-  trk.merge_range(0, trk.words_per_shard());
-  trk.snapshot_shard(0);
-  trk.visit(0, 4);
-  trk.publish_shard(1, 0);
-  EXPECT_EQ(trk.upper_bound_visited(1, 3), 4u);
-  EXPECT_EQ(trk.upper_bound_visited(0, 3), 5u);  // stale parity-0 row: 3+2
-}
-
 TEST(ShardedVisitTracker, ResetClearsEverything) {
+  const std::vector<std::uint64_t> empty(2, 0);
   ShardedVisitTracker trk(128, 2);
+  trk.reset(empty.data());
   trk.visit(0, 1);
   trk.visit(1, 2);
-  trk.publish_shard(0, 0);
-  trk.publish_shard(0, 1);
-  trk.merge_exact();
-  trk.reset();
-  EXPECT_EQ(trk.shard_visited(0), 0u);
-  EXPECT_EQ(trk.shard_visited(1), 0u);
-  EXPECT_EQ(trk.merged_count(), 0u);
-  EXPECT_EQ(trk.upper_bound_visited(0, 0), 0u);
-  EXPECT_EQ(trk.upper_bound_visited(1, 0), 0u);
-  EXPECT_EQ(trk.merge_exact(), 0u);
+  trk.merge_range(0, 0, 2);
+  trk.reset(empty.data());
+  EXPECT_TRUE(trk.visit(0, 1));  // the shard bitmaps were cleared
+  EXPECT_TRUE(trk.visit(1, 2));
+  trk.reset(empty.data());
+  EXPECT_EQ(trk.merge_range(0, 0, 2), 0u);
 }
 
 // --- SpinBarrier ------------------------------------------------------------
