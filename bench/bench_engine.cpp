@@ -52,23 +52,26 @@ namespace {
 using namespace manywalks;
 
 // ---------------------------------------------------------------------------
-// Reference: the seed's per-call cover loop (pre-WalkEngine), kept verbatim
-// as the baseline side of the steps/second comparison.
+// Reference: the seed's per-call cover loop (pre-WalkEngine), the baseline
+// side of the steps/second comparison, with a std::vector<bool> visited set.
 // ---------------------------------------------------------------------------
 CoverSample seed_path_cover(const Graph& g, std::span<const Vertex> starts,
                             Vertex target, Rng& rng,
                             const CoverOptions& options = {}) {
-  thread_local VisitTracker tracker(0);
-  if (tracker.num_vertices() != g.num_vertices()) {
-    tracker = VisitTracker(g.num_vertices());
-  } else {
-    tracker.reset();
-  }
+  thread_local std::vector<bool> visited;
+  visited.assign(g.num_vertices(), false);
+  Vertex num_visited = 0;
+  const auto visit = [&](Vertex v) {
+    if (!visited[v]) {
+      visited[v] = true;
+      ++num_visited;
+    }
+  };
 
   std::vector<Vertex> tokens(starts.begin(), starts.end());
-  for (Vertex s : tokens) tracker.visit(s);
+  for (Vertex s : tokens) visit(s);
   CoverSample sample;
-  if (tracker.num_visited() >= target) {
+  if (num_visited >= target) {
     sample.covered = true;
     return sample;
   }
@@ -80,9 +83,9 @@ CoverSample seed_path_cover(const Graph& g, std::span<const Vertex> starts,
     for (Vertex& token : tokens) {
       token = lazy ? step_walk_lazy(g, token, rng, options.laziness)
                    : step_walk(g, token, rng);
-      tracker.visit(token);
+      visit(token);
     }
-    if (tracker.num_visited() >= target) {
+    if (num_visited >= target) {
       sample.steps = t;
       sample.covered = true;
       return sample;
@@ -983,6 +986,10 @@ int main(int argc, char** argv) {
     }
   }
   argc = out_argc;
+  // google-benchmark's flags are parsed before anything is measured or
+  // written, so --help or a misspelled flag leaves the JSON files alone.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return EXIT_FAILURE;
 
   if (!verify_identical_samples()) return EXIT_FAILURE;
   report_paired_throughput();
@@ -999,8 +1006,6 @@ int main(int argc, char** argv) {
   if (!obs_results_pass(obs_rows, obs_registry, expected_on_steps, obs_guard)) {
     return EXIT_FAILURE;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return EXIT_FAILURE;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return EXIT_SUCCESS;

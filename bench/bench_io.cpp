@@ -389,12 +389,14 @@ int main(int argc, char** argv) {
     }
   }
   argc = out_argc;
+  // google-benchmark's flags are parsed before anything is measured or
+  // written, so --help or a misspelled flag leaves BENCH_ooc.json alone.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return EXIT_FAILURE;
 
   const OocReport report = run_ooc();
   write_ooc_json(report, ooc_out);
   if (ooc_guard && !ooc_guard_passes(report)) return EXIT_FAILURE;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return EXIT_FAILURE;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return EXIT_SUCCESS;

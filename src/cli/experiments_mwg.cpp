@@ -8,10 +8,13 @@
 // block-scheduled engine (walk/block_engine.hpp) with an explicit
 // `--mem-budget`: the graph must be mwg v2, only its metadata stays
 // resident, and — determinism contract v4 — every number in the tables
-// is bit-identical to the in-core run at any budget.
+// is bit-identical to the in-core run at any budget. Each experiment has
+// one body, templated on the trial walker (mc/estimators.hpp), that both
+// execution models run.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +38,14 @@ Vertex checked_start(const char* name, const ExperimentParams& params,
   return static_cast<Vertex>(params.start);
 }
 
+const std::string& required_graph(const char* name,
+                                  const ExperimentParams& params) {
+  MW_REQUIRE(!params.graph.empty(),
+             name << " needs --graph=FILE.mwg (create one with `manywalks "
+                     "graph gen` or `manywalks graph convert`)");
+  return params.graph;
+}
+
 std::string substrate_preamble(const CsrSubstrate& substrate,
                                const std::string& source) {
   return "stored graph " + source + ": n = " +
@@ -45,16 +56,9 @@ std::string substrate_preamble(const CsrSubstrate& substrate,
          "so the streams are bit-identical.";
 }
 
-MappedGraph open_mapped(const char* name, const ExperimentParams& params) {
-  MW_REQUIRE(!params.graph.empty(),
-             name << " needs --graph=FILE.mwg (create one with `manywalks "
-                     "graph gen` or `manywalks graph convert`)");
-  return MappedGraph(params.graph);
-}
-
-// --- shared table/notes builders (in-core and blocked paths emit the
-// same rows, which is how the v4 bit-identity contract stays visible in
-// the output, not just in the goldens) ---------------------------------
+// --- shared table/notes builders (in-core and blocked runs emit the same
+// rows, which is how the v4 bit-identity contract stays visible in the
+// output, not just in the goldens) -----------------------------------------
 
 ResultTable speedup_table(const std::string& source, Vertex start,
                           Vertex target, Vertex n,
@@ -135,13 +139,6 @@ std::uint64_t resolve_mem_budget(const ExperimentParams& params) {
                                    : parse_byte_size(params.mem_budget);
 }
 
-BlockedGraph open_blocked(const char* name, const ExperimentParams& params) {
-  MW_REQUIRE(!params.graph.empty(),
-             name << " needs --graph=FILE.mwg (create one with `manywalks "
-                     "graph gen` or `manywalks graph convert`)");
-  return BlockedGraph(params.graph);
-}
-
 std::string blocked_preamble(const BlockedGraph& graph,
                              const std::string& source,
                              std::uint64_t budget) {
@@ -158,8 +155,8 @@ std::string blocked_preamble(const BlockedGraph& graph,
 }
 
 std::string blocked_cache_note(const BlockedRunTotals& totals) {
-  // Counters reset per trial (see estimate_cover_to_target_blocked), so
-  // these are per-trial aggregates: totals are sums of independent trial
+  // Counters reset per trial (see sample_cover_to_target on BlockedTrials),
+  // so these are per-trial aggregates: totals are sums of independent trial
   // readings and the peak is a true heaviest-trial figure.
   std::string note =
       "block engine (" + format_count(totals.trials) +
@@ -182,153 +179,57 @@ std::string blocked_cache_note(const BlockedRunTotals& totals) {
   return note;
 }
 
-ExperimentResult run_mwg_speedup_blocked(const ExperimentParams& params,
-                                         ThreadPool& pool) {
-  const BlockedGraph graph = open_blocked("mwg-speedup", params);
-  const std::uint64_t budget = resolve_mem_budget(params);
-  BlockWalkEngine engine(graph, budget);
+/// The --block-walk execution model: the v2 store, one engine shared by
+/// every trial under the resolved budget, and the per-trial totals.
+struct BlockedRun {
+  BlockedRun(const char* name, const ExperimentParams& params)
+      : graph(required_graph(name, params)),
+        budget(resolve_mem_budget(params)),
+        engine(graph, budget) {}
 
+  BlockedTrials walker() { return {engine, &totals}; }
+
+  /// Adds what only an out-of-core run reports: the budget, the store's
+  /// block layout and the extent-cache note.
+  ExperimentResult annotate(ExperimentResult result,
+                            const std::string& source) const {
+    push_param(result, "mem_budget", budget);
+    result.preamble.push_back(blocked_preamble(graph, source, budget));
+    result.notes.push_back(blocked_cache_note(totals));
+    return result;
+  }
+
+  BlockedGraph graph;
+  std::uint64_t budget;
+  BlockWalkEngine engine;
+  BlockedRunTotals totals;
+};
+
+// --- the experiment bodies, one per experiment for both walkers ------------
+
+/// Echoes how the trials ran: the thread-budget decision for the headline
+/// estimate in core, "blocked" out of core.
+template <TrialWalker W>
+void push_trial_plan(ExperimentResult& result, const CoverOptions& cover,
+                     std::uint64_t max_trials, std::size_t lanes,
+                     unsigned threads) {
+  if constexpr (Substrate<W>) {
+    push_parallelism_params(result, cover, max_trials, lanes, threads);
+  } else {
+    push_param(result, "parallelism", std::string("blocked"));
+  }
+}
+
+template <TrialWalker W>
+ExperimentResult mwg_speedup(const W& walker, const std::string& source,
+                             const ExperimentParams& params, ThreadPool& pool,
+                             const CoverOptions& cover) {
   const ExperimentPreset& preset = preset_for("mwg-speedup");
   const std::uint64_t seed = params.seed;
   const std::uint64_t trials = resolve_trials(preset, params);
   const std::uint64_t k_limit =
       checked_walk_count("mwg-speedup", resolve_kmax(preset, params));
-  const Vertex n = graph.num_vertices();
-  const Vertex start = checked_start("mwg-speedup", params, n);
-  const Vertex target = clamp_cover_target(resolve_target(preset, params), n);
-  const std::vector<unsigned> ks = geometric_ks(k_limit);
-
-  McOptions mc = preset_mc(trials);
-  mc.seed = mix64(seed ^ 0x3396a1ULL);
-  BlockedRunTotals totals;
-  const std::vector<SpeedupEstimate> curve =
-      estimate_speedup_curve_to_target_blocked(engine, start, target, ks, mc,
-                                               CoverOptions{}, &totals);
-
-  ExperimentResult result;
-  push_common_params(result, seed, params.full,
-                     static_cast<std::uint64_t>(n), trials, pool.size());
-  push_param(result, "graph", params.graph);
-  push_param(result, "start", static_cast<std::uint64_t>(start));
-  push_param(result, "kmax", k_limit);
-  push_param(result, "target", static_cast<std::uint64_t>(target));
-  push_param(result, "parallelism", std::string("blocked"));
-  push_param(result, "mem_budget", budget);
-  result.preamble.push_back(blocked_preamble(graph, params.graph, budget));
-  result.tables.push_back(speedup_table(params.graph, start, target, n, curve));
-  result.notes = speedup_notes();
-  result.notes.push_back(blocked_cache_note(totals));
-  return result;
-}
-
-ExperimentResult run_mwg_starts_blocked(const ExperimentParams& params,
-                                        ThreadPool& pool) {
-  const BlockedGraph graph = open_blocked("mwg-starts", params);
-  const std::uint64_t budget = resolve_mem_budget(params);
-  BlockWalkEngine engine(graph, budget);
-
-  const ExperimentPreset& preset = preset_for("mwg-starts");
-  const std::uint64_t seed = params.seed;
-  const std::uint64_t trials = resolve_trials(preset, params);
-  const auto k = static_cast<unsigned>(checked_walk_count(
-      "mwg-starts", std::max<std::uint64_t>(resolve_k(preset, params), 1)));
-  const Vertex n = graph.num_vertices();
-  const Vertex start = checked_start("mwg-starts", params, n);
-
-  // The shared engine forces serial trials (see
-  // estimate_cover_to_target_blocked); the raw run_monte_carlo calls
-  // below pin the same mode so all three placements reduce identically
-  // to the in-core path.
-  const CoverOptions cover_run{};
-  McOptions mc = preset_mc(trials);
-  mc.parallelism = McParallelism::kLanes;
-
-  BlockedRunTotals totals;
-  McOptions same_mc = mc;
-  same_mc.seed = mix64(seed ^ 0x3a11ULL);
-  const McResult same = estimate_cover_to_target_blocked(
-      engine, start, k, n, same_mc, cover_run, &totals);
-
-  const std::span<const std::uint64_t> offsets = graph.offsets();
-  McOptions stationary_mc = mc;
-  stationary_mc.seed = mix64(seed ^ 0x3a22ULL);
-  const McResult stationary = run_monte_carlo(
-      [&engine, &totals, offsets, k, cover_run, n](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) {
-          s = sample_stationary_vertex_csr(offsets, rng);
-        }
-        engine.reset(starts);
-        engine.reset_stats();
-        const CoverSample sample = engine.run_until_visited(n, rng, cover_run);
-        totals.absorb(engine);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      stationary_mc, nullptr);
-
-  McOptions uniform_mc = mc;
-  uniform_mc.seed = mix64(seed ^ 0x3a33ULL);
-  const McResult uniform = run_monte_carlo(
-      [&engine, &totals, k, cover_run, n](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) s = rng.uniform_below_wide(n);
-        engine.reset(starts);
-        engine.reset_stats();
-        const CoverSample sample = engine.run_until_visited(n, rng, cover_run);
-        totals.absorb(engine);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      uniform_mc, nullptr);
-
-  ExperimentResult result;
-  push_common_params(result, seed, params.full,
-                     static_cast<std::uint64_t>(n), trials, pool.size());
-  push_param(result, "graph", params.graph);
-  push_param(result, "start", static_cast<std::uint64_t>(start));
-  push_param(result, "k", static_cast<std::uint64_t>(k));
-  push_param(result, "parallelism", std::string("blocked"));
-  push_param(result, "mem_budget", budget);
-  result.preamble.push_back(blocked_preamble(graph, params.graph, budget));
-  result.tables.push_back(
-      starts_table(params.graph, k, start, same, stationary, uniform));
-  result.notes = starts_notes();
-  result.notes.push_back(blocked_cache_note(totals));
-  return result;
-}
-
-ExperimentResult run_mwg_speedup(const ExperimentParams& params,
-                                 ThreadPool& pool) {
-  MW_REQUIRE(params.mem_budget.empty() || params.block_walk,
-             "--mem-budget only applies with --block-walk");
-  if (params.block_walk) return run_mwg_speedup_blocked(params, pool);
-  const MappedGraph mapped = open_mapped("mwg-speedup", params);
-  return run_mwg_speedup_on_substrate(mapped.substrate(), params.graph,
-                                      params, pool, CoverOptions{});
-}
-
-ExperimentResult run_mwg_starts(const ExperimentParams& params,
-                                ThreadPool& pool) {
-  MW_REQUIRE(params.mem_budget.empty() || params.block_walk,
-             "--mem-budget only applies with --block-walk");
-  if (params.block_walk) return run_mwg_starts_blocked(params, pool);
-  const MappedGraph mapped = open_mapped("mwg-starts", params);
-  return run_mwg_starts_on_substrate(mapped.substrate(), params.graph, params,
-                                     pool, CoverOptions{});
-}
-
-}  // namespace
-
-ExperimentResult run_mwg_speedup_on_substrate(const CsrSubstrate& substrate,
-                                              const std::string& source,
-                                              const ExperimentParams& params,
-                                              ThreadPool& pool,
-                                              const CoverOptions& cover) {
-  const ExperimentPreset& preset = preset_for("mwg-speedup");
-  const std::uint64_t seed = params.seed;
-  const std::uint64_t trials = resolve_trials(preset, params);
-  const std::uint64_t k_limit =
-      checked_walk_count("mwg-speedup", resolve_kmax(preset, params));
-  const Vertex n = substrate.num_vertices();
+  const Vertex n = walker.num_vertices();
   const Vertex start = checked_start("mwg-speedup", params, n);
   const Vertex target = clamp_cover_target(resolve_target(preset, params), n);
   const std::vector<unsigned> ks = geometric_ks(k_limit);
@@ -338,7 +239,7 @@ ExperimentResult run_mwg_speedup_on_substrate(const CsrSubstrate& substrate,
   McOptions mc = preset_mc(trials);
   mc.seed = mix64(seed ^ 0x3396a1ULL);
   const std::vector<SpeedupEstimate> curve = estimate_speedup_curve_to_target(
-      substrate, start, target, ks, mc, cover_run, &pool);
+      walker, start, target, ks, mc, cover_run, &pool);
 
   ExperimentResult result;
   push_common_params(result, seed, params.full,
@@ -347,11 +248,110 @@ ExperimentResult run_mwg_speedup_on_substrate(const CsrSubstrate& substrate,
   push_param(result, "start", static_cast<std::uint64_t>(start));
   push_param(result, "kmax", k_limit);
   push_param(result, "target", static_cast<std::uint64_t>(target));
-  push_parallelism_params(result, cover_run, mc.max_trials, k_limit,
-                          pool.size());
-  result.preamble.push_back(substrate_preamble(substrate, source));
+  push_trial_plan<W>(result, cover_run, mc.max_trials, k_limit, pool.size());
   result.tables.push_back(speedup_table(source, start, target, n, curve));
   result.notes = speedup_notes();
+  return result;
+}
+
+/// `offsets` is the graph's CSR row index, which stationary starts are
+/// drawn from.
+template <TrialWalker W>
+ExperimentResult mwg_starts(const W& walker,
+                            std::span<const std::uint64_t> offsets,
+                            const std::string& source,
+                            const ExperimentParams& params, ThreadPool& pool,
+                            const CoverOptions& cover) {
+  const ExperimentPreset& preset = preset_for("mwg-starts");
+  const std::uint64_t seed = params.seed;
+  const std::uint64_t trials = resolve_trials(preset, params);
+  const auto k = static_cast<unsigned>(checked_walk_count(
+      "mwg-starts", std::max<std::uint64_t>(resolve_k(preset, params), 1)));
+  const Vertex n = walker.num_vertices();
+  const Vertex start = checked_start("mwg-starts", params, n);
+  // The uniform-start run_monte_carlo call below bypasses the estimators,
+  // so the trial plan is made here once (lanes = k for all three
+  // placements); the estimators re-plan identically.
+  CoverOptions cover_run = cover;
+  cover_run.lane_shards = params.lane_shards;
+  McOptions mc = preset_mc(trials);
+  ThreadPool* const trial_pool =
+      plan_cover_trials(walker, k, &pool, mc, cover_run);
+
+  McOptions same_mc = mc;
+  same_mc.seed = mix64(seed ^ 0x3a11ULL);
+  const McResult same =
+      estimate_k_cover_time(walker, start, k, same_mc, cover_run, &pool);
+
+  McOptions stationary_mc = mc;
+  stationary_mc.seed = mix64(seed ^ 0x3a22ULL);
+  const McResult stationary = estimate_stationary_start_cover(
+      walker, offsets, k, stationary_mc, cover_run, &pool);
+
+  McOptions uniform_mc = mc;
+  uniform_mc.seed = mix64(seed ^ 0x3a33ULL);
+  const McResult uniform = run_monte_carlo(
+      [walker, k, cover_run, n](std::uint64_t, Rng& rng) {
+        std::vector<Vertex> starts(k);
+        for (Vertex& s : starts) s = rng.uniform_below_wide(n);
+        const CoverSample sample =
+            sample_cover_to_target(walker, starts, n, rng, cover_run);
+        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
+      },
+      uniform_mc, trial_pool);
+
+  ExperimentResult result;
+  push_common_params(result, seed, params.full,
+                     static_cast<std::uint64_t>(n), trials, pool.size());
+  push_param(result, "graph", source);
+  push_param(result, "start", static_cast<std::uint64_t>(start));
+  push_param(result, "k", static_cast<std::uint64_t>(k));
+  push_trial_plan<W>(result, cover_run, mc.max_trials, k, pool.size());
+  result.tables.push_back(
+      starts_table(source, k, start, same, stationary, uniform));
+  result.notes = starts_notes();
+  return result;
+}
+
+ExperimentResult run_mwg_speedup(const ExperimentParams& params,
+                                 ThreadPool& pool) {
+  MW_REQUIRE(params.mem_budget.empty() || params.block_walk,
+             "--mem-budget only applies with --block-walk");
+  if (!params.block_walk) {
+    const MappedGraph mapped(required_graph("mwg-speedup", params));
+    return run_mwg_speedup_on_substrate(mapped.substrate(), params.graph,
+                                        params, pool, CoverOptions{});
+  }
+  BlockedRun run("mwg-speedup", params);
+  return run.annotate(
+      mwg_speedup(run.walker(), params.graph, params, pool, CoverOptions{}),
+      params.graph);
+}
+
+ExperimentResult run_mwg_starts(const ExperimentParams& params,
+                                ThreadPool& pool) {
+  MW_REQUIRE(params.mem_budget.empty() || params.block_walk,
+             "--mem-budget only applies with --block-walk");
+  if (!params.block_walk) {
+    const MappedGraph mapped(required_graph("mwg-starts", params));
+    return run_mwg_starts_on_substrate(mapped.substrate(), params.graph,
+                                       params, pool, CoverOptions{});
+  }
+  BlockedRun run("mwg-starts", params);
+  return run.annotate(mwg_starts(run.walker(), run.graph.offsets(),
+                                 params.graph, params, pool, CoverOptions{}),
+                      params.graph);
+}
+
+}  // namespace
+
+ExperimentResult run_mwg_speedup_on_substrate(const CsrSubstrate& substrate,
+                                              const std::string& source,
+                                              const ExperimentParams& params,
+                                              ThreadPool& pool,
+                                              const CoverOptions& cover) {
+  ExperimentResult result = mwg_speedup(substrate, source, params, pool, cover);
+  result.preamble.push_back(substrate_preamble(substrate, source));
   return result;
 }
 
@@ -360,63 +360,9 @@ ExperimentResult run_mwg_starts_on_substrate(const CsrSubstrate& substrate,
                                              const ExperimentParams& params,
                                              ThreadPool& pool,
                                              const CoverOptions& cover) {
-  const ExperimentPreset& preset = preset_for("mwg-starts");
-  const std::uint64_t seed = params.seed;
-  const std::uint64_t trials = resolve_trials(preset, params);
-  const auto k = static_cast<unsigned>(checked_walk_count(
-      "mwg-starts", std::max<std::uint64_t>(resolve_k(preset, params), 1)));
-  const Vertex n = substrate.num_vertices();
-  const Vertex start = checked_start("mwg-starts", params, n);
-  // The two raw run_monte_carlo calls below bypass the estimators, so the
-  // thread-budget policy is applied here once (lanes = k for all three
-  // placements); estimate_k_cover_time re-applies it idempotently.
-  CoverOptions cover_run = cover;
-  cover_run.lane_shards = params.lane_shards;
-  McOptions mc = preset_mc(trials);
-  apply_thread_budget(k, &pool, mc, cover_run);
-
-  McOptions same_mc = mc;
-  same_mc.seed = mix64(seed ^ 0x3a11ULL);
-  const McResult same =
-      estimate_k_cover_time(substrate, start, k, same_mc, cover_run, &pool);
-
-  McOptions stationary_mc = mc;
-  stationary_mc.seed = mix64(seed ^ 0x3a22ULL);
-  const McResult stationary = run_monte_carlo(
-      [substrate, k, cover_run](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) {
-          s = sample_stationary_vertex_csr(substrate.offsets(), rng);
-        }
-        const CoverSample sample = sample_cover_to_target(
-            substrate, starts, substrate.num_vertices(), rng, cover_run);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      stationary_mc, &pool);
-
-  McOptions uniform_mc = mc;
-  uniform_mc.seed = mix64(seed ^ 0x3a33ULL);
-  const McResult uniform = run_monte_carlo(
-      [substrate, k, cover_run, n](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) s = rng.uniform_below_wide(n);
-        const CoverSample sample = sample_cover_to_target(
-            substrate, starts, substrate.num_vertices(), rng, cover_run);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      uniform_mc, &pool);
-
-  ExperimentResult result;
-  push_common_params(result, seed, params.full,
-                     static_cast<std::uint64_t>(n), trials, pool.size());
-  push_param(result, "graph", source);
-  push_param(result, "start", static_cast<std::uint64_t>(start));
-  push_param(result, "k", static_cast<std::uint64_t>(k));
-  push_parallelism_params(result, cover_run, mc.max_trials, k, pool.size());
+  ExperimentResult result = mwg_starts(substrate, substrate.offsets(), source,
+                                       params, pool, cover);
   result.preamble.push_back(substrate_preamble(substrate, source));
-  result.tables.push_back(
-      starts_table(source, k, start, same, stationary, uniform));
-  result.notes = starts_notes();
   return result;
 }
 

@@ -3,10 +3,11 @@
 // zero-copy from disk (storage/mapped_graph.hpp).
 //
 // The experiment bodies are exposed on a bound CsrSubstrate so the
-// acceptance contract is testable: the registered runners map the file
-// and call these, and the tests call them again with the same graph built
-// in memory — same seed, both rng modes — and require byte-identical
-// results (tests/test_storage.cpp).
+// acceptance contract is testable: the registered in-core runners map the
+// file and call these, and the tests call them again with the same graph
+// built in memory — same seed — and require byte-identical results
+// (tests/test_storage.cpp). The `--block-walk` runners run the same
+// bodies on the out-of-core engine; the tests compare their tables too.
 #pragma once
 
 #include <string>

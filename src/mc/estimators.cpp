@@ -5,38 +5,22 @@
 
 #include "util/check.hpp"
 #include "walk/block_engine.hpp"
-#include "walk/sampling.hpp"
 
 namespace manywalks {
 
+// The Graph overloads delegate through CsrSubstrate: the substrate path
+// consumes the exact draw sequence of a Graph trial (same trial streams,
+// same thread-budget plan), so delegating changes no number.
+
 McResult estimate_cover_time(const Graph& g, Vertex start, const McOptions& mc,
                              const CoverOptions& cover, ThreadPool* pool) {
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(1, pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [&g, start, cover_planned](std::uint64_t, Rng& rng) {
-        const CoverSample sample =
-            sample_cover_time(g, start, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
+  return estimate_cover_time(CsrSubstrate(g), start, mc, cover, pool);
 }
 
 McResult estimate_k_cover_time(const Graph& g, Vertex start, unsigned k,
                                const McOptions& mc, const CoverOptions& cover,
                                ThreadPool* pool) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(k, pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [&g, start, k, cover_planned](std::uint64_t, Rng& rng) {
-        const CoverSample sample =
-            sample_k_cover_time(g, start, k, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
+  return estimate_k_cover_time(CsrSubstrate(g), start, k, mc, cover, pool);
 }
 
 McResult estimate_multi_cover_time(const Graph& g,
@@ -44,17 +28,8 @@ McResult estimate_multi_cover_time(const Graph& g,
                                    const McOptions& mc,
                                    const CoverOptions& cover,
                                    ThreadPool* pool) {
-  std::vector<Vertex> starts_copy(starts.begin(), starts.end());
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(starts_copy.size(), pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [&g, starts_copy, cover_planned](std::uint64_t, Rng& rng) {
-        const CoverSample sample =
-            sample_multi_cover_time(g, starts_copy, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
+  return estimate_cover_to_target(CsrSubstrate(g), starts, g.num_vertices(),
+                                  mc, cover, pool);
 }
 
 McResult estimate_hitting_time(const Graph& g, Vertex from, Vertex to,
@@ -134,18 +109,8 @@ McResult estimate_stationary_start_cover(const Graph& g, unsigned k,
                                          const McOptions& mc,
                                          const CoverOptions& cover,
                                          ThreadPool* pool) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(k, pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [&g, k, cover_planned](std::uint64_t, Rng& rng) {
-        const std::vector<Vertex> starts = sample_stationary_starts(g, k, rng);
-        const CoverSample sample =
-            sample_multi_cover_time(g, starts, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
+  return estimate_stationary_start_cover(CsrSubstrate(g), g.offsets(), k, mc,
+                                         cover, pool);
 }
 
 SpeedupEstimate estimate_speedup(const Graph& g, Vertex start, unsigned k,
@@ -158,13 +123,7 @@ SpeedupEstimate estimate_speedup(const Graph& g, Vertex start, unsigned k,
 std::vector<SpeedupEstimate> estimate_speedup_curve(
     const Graph& g, Vertex start, std::span<const unsigned> ks,
     const McOptions& mc, const CoverOptions& cover, ThreadPool* pool) {
-  // One implementation for both paths: the CSR substrate consumes the
-  // exact draw sequence of the historical Graph path (same per-k seed
-  // constants, same trial streams), so delegating changes no number —
-  // proven by tests/test_substrate.cpp SpeedupCurveMatchesGraphEstimatorSeeding.
-  return estimate_speedup_curve_to_target(CsrSubstrate(g), start,
-                                          g.num_vertices(), ks, mc, cover,
-                                          pool);
+  return estimate_speedup_curve(CsrSubstrate(g), start, ks, mc, cover, pool);
 }
 
 void BlockedRunTotals::absorb(const BlockWalkEngine& engine) {
@@ -181,68 +140,20 @@ void BlockedRunTotals::absorb(const BlockWalkEngine& engine) {
       std::max(peak_trial_bytes_loaded, cache.bytes_loaded);
 }
 
-McResult estimate_cover_to_target_blocked(BlockWalkEngine& engine,
-                                          Vertex start, unsigned k,
-                                          Vertex target, const McOptions& mc,
-                                          const CoverOptions& cover,
-                                          BlockedRunTotals* totals) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  // The engine (and its extent cache) is shared across trials, so the
-  // trial loop must stay on the caller: kLanes with no pool is
-  // run_monte_carlo's serial index-ordered loop — the same per-trial
-  // streams and reduction order as every other mode, so the estimate is
-  // bit-identical to the in-core path.
-  McOptions mc_serial = mc;
-  mc_serial.parallelism = McParallelism::kLanes;
-  CoverOptions cover_run = cover;
-  cover_run.lane_shards = 0;
-  cover_run.shard_pool = nullptr;
-  return run_monte_carlo(
-      [&engine, start, k, target, cover_run, totals](std::uint64_t, Rng& rng) {
-        const std::vector<Vertex> starts(static_cast<std::size_t>(k), start);
-        engine.reset(starts);
-        // Counters restart per trial so run summaries report per-trial
-        // aggregates instead of one monotone series; walking never reads
-        // them, so this cannot perturb the v4 schedule.
-        engine.reset_stats();
-        const CoverSample sample =
-            engine.run_until_visited(target, rng, cover_run);
-        if (totals != nullptr) totals->absorb(engine);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_serial, nullptr);
-}
+Vertex BlockedTrials::num_vertices() const { return engine.num_vertices(); }
 
-std::vector<SpeedupEstimate> estimate_speedup_curve_to_target_blocked(
-    BlockWalkEngine& engine, Vertex start, Vertex target,
-    std::span<const unsigned> ks, const McOptions& mc,
-    const CoverOptions& cover, BlockedRunTotals* totals) {
-  MW_REQUIRE(!ks.empty(), "need at least one k");
-  McOptions base = mc;
-  base.seed = mix64(mc.seed ^ 0x1a1cULL);  // distinct stream for the baseline
-  const McResult single = estimate_cover_to_target_blocked(
-      engine, start, 1, target, base, cover, totals);
-
-  std::vector<SpeedupEstimate> curve;
-  curve.reserve(ks.size());
-  for (unsigned k : ks) {
-    MW_REQUIRE(k >= 1, "k must be >= 1");
-    McOptions per_k = mc;
-    per_k.seed = mix64(mc.seed ^ (0xbeef00ULL + k));
-    const McResult multi =
-        k == 1 ? single
-               : estimate_cover_to_target_blocked(engine, start, k, target,
-                                                  per_k, cover, totals);
-    SpeedupEstimate est = combine_speedup(k, single, multi);
-    if (k == 1) {
-      // Same convention as the in-core curve: S^1 is exactly 1 with no
-      // uncertainty and never flagged.
-      est.half_width = 0.0;
-      est.censored = 0;
-    }
-    curve.push_back(est);
-  }
-  return curve;
+CoverSample sample_cover_to_target(const BlockedTrials& walker,
+                                   std::span<const Vertex> starts,
+                                   Vertex target, Rng& rng,
+                                   const CoverOptions& options) {
+  walker.engine.reset(starts);
+  // Counters restart per trial so run summaries report per-trial
+  // aggregates instead of one monotone series.
+  walker.engine.reset_stats();
+  const CoverSample sample =
+      walker.engine.run_until_visited(target, rng, options);
+  if (walker.totals != nullptr) walker.totals->absorb(walker.engine);
+  return sample;
 }
 
 }  // namespace manywalks

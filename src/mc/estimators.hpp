@@ -1,14 +1,16 @@
 // Monte-Carlo estimators for the paper's quantities: C_i, C^k_i, h(u,v),
 // and the speed-up S^k = C / C^k with propagated uncertainty.
 //
-// RNG streams: every cover estimator funnels through the cover.hpp
-// samplers and so the pipelined lane kernel (determinism contract v6).
+// RNG streams: every cover estimator funnels through
+// estimate_cover_to_target and so through the lane engines (determinism
+// contract v6).
 // Trial i under master seed s sees make_trial_rng(s, i), the engine
 // derives its per-token streams from one draw of that trial stream, and
 // results reduce in trial order, so estimates stay bit-identical across
 // thread counts.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -19,6 +21,7 @@
 #include "mc/monte_carlo.hpp"
 #include "walk/cover.hpp"
 #include "walk/hitting.hpp"
+#include "walk/sampling.hpp"
 
 namespace manywalks {
 
@@ -128,117 +131,29 @@ McResult estimate_stationary_start_cover(const Graph& g, unsigned k,
                                          const CoverOptions& cover = {},
                                          ThreadPool* pool = nullptr);
 
-// --- substrate overloads -----------------------------------------------------
+// --- one cover-estimate path for both execution models ----------------------
 //
-// The same estimators over an implicit (or CSR-wrapping) substrate, plus
-// the fixed-target variants the giant-graph experiments are built on:
-// full cover is Θ(n²) on a 10^8-cycle, but the time for k walks to visit a
-// fixed number of distinct vertices is cheap to sample and shows the same
-// speed-up regimes (the paper's own cycle argument, Lemmas 21/22, bounds
-// exactly the spread of the k walks).
-
-/// Estimates the expected rounds for k tokens started at `start` to visit
-/// `target` distinct vertices (target = num_vertices() → C^k_start).
-template <Substrate S>
-McResult estimate_cover_to_target(const S& substrate, Vertex start, unsigned k,
-                                  Vertex target, const McOptions& mc,
-                                  const CoverOptions& cover = {},
-                                  ThreadPool* pool = nullptr) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  apply_thread_budget(k, pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [substrate, start, k, target, cover_planned](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k, start);
-        const CoverSample sample =
-            sample_cover_to_target(substrate, starts, target, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, pool);
-}
-
-template <Substrate S>
-McResult estimate_cover_time(const S& substrate, Vertex start,
-                             const McOptions& mc, const CoverOptions& cover = {},
-                             ThreadPool* pool = nullptr) {
-  return estimate_cover_to_target(substrate, start, 1,
-                                  substrate.num_vertices(), mc, cover, pool);
-}
-
-template <Substrate S>
-McResult estimate_k_cover_time(const S& substrate, Vertex start, unsigned k,
-                               const McOptions& mc,
-                               const CoverOptions& cover = {},
-                               ThreadPool* pool = nullptr) {
-  return estimate_cover_to_target(substrate, start, k,
-                                  substrate.num_vertices(), mc, cover, pool);
-}
-
-/// Estimates S^k = T¹(target)/T^k(target) across several k, reusing one
-/// k = 1 baseline. Mirrors the Graph overload's seeding scheme exactly
-/// (baseline stream mix64(seed ^ 0x1a1c), per-k mix64(seed ^ (0xbeef00+k))).
-template <Substrate S>
-std::vector<SpeedupEstimate> estimate_speedup_curve_to_target(
-    const S& substrate, Vertex start, Vertex target,
-    std::span<const unsigned> ks, const McOptions& mc,
-    const CoverOptions& cover = {}, ThreadPool* pool = nullptr) {
-  MW_REQUIRE(!ks.empty(), "need at least one k");
-  std::unique_ptr<ThreadPool> local_pool;
-  if (pool == nullptr) {
-    local_pool = std::make_unique<ThreadPool>(mc.threads);
-    pool = local_pool.get();
-  }
-  McOptions base = mc;
-  base.seed = mix64(mc.seed ^ 0x1a1cULL);  // distinct stream for the baseline
-  const McResult single =
-      estimate_cover_to_target(substrate, start, 1, target, base, cover, pool);
-
-  std::vector<SpeedupEstimate> curve;
-  curve.reserve(ks.size());
-  for (unsigned k : ks) {
-    MW_REQUIRE(k >= 1, "k must be >= 1");
-    McOptions per_k = mc;
-    per_k.seed = mix64(mc.seed ^ (0xbeef00ULL + k));
-    const McResult multi =
-        k == 1 ? single
-               : estimate_cover_to_target(substrate, start, k, target, per_k,
-                                          cover, pool);
-    SpeedupEstimate est = combine_speedup(k, single, multi);
-    if (k == 1) {
-      // Numerator and denominator are the same estimate: S^1 is exactly 1
-      // with no uncertainty (perfectly correlated errors) — and exactly 1
-      // even when the baseline was censored, so the ratio is not flagged
-      // (the T^1 column still is).
-      est.half_width = 0.0;
-      est.censored = 0;
-    }
-    curve.push_back(est);
-  }
-  return curve;
-}
-
-template <Substrate S>
-std::vector<SpeedupEstimate> estimate_speedup_curve(
-    const S& substrate, Vertex start, std::span<const unsigned> ks,
-    const McOptions& mc, const CoverOptions& cover = {},
-    ThreadPool* pool = nullptr) {
-  return estimate_speedup_curve_to_target(substrate, start,
-                                          substrate.num_vertices(), ks, mc,
-                                          cover, pool);
-}
-
-// --- out-of-core (block-scheduled) overloads ---------------------------------
+// Every cover estimate funnels through estimate_cover_to_target, whose
+// trials run on one of two walkers:
+//   * a Substrate (implicit, or CSR-wrapping an in-core or memory-mapped
+//     graph): each trial runs on the calling thread's pooled WalkEngineT
+//     (sample_cover_to_target in walk/cover.hpp), and apply_thread_budget
+//     decides whether the pool fans out over trials or is handed to the
+//     lane-sharded engine;
+//   * BlockedTrials: one out-of-core BlockWalkEngine
+//     (walk/block_engine.hpp), and so one extent cache, shared by every
+//     trial. That forces the trial loop serial: kLanes with no pool and no
+//     lane shards, which is run_monte_carlo's serial index-ordered loop.
+// Only this trial plan differs. The per-trial streams, the seeding scheme
+// and the reduction order are shared, so for a given (graph, seed) the
+// block engine's estimates are BIT-IDENTICAL to the in-core ones at any
+// memory budget (determinism contract v4).
 //
-// The same fixed-target estimators over a shared BlockWalkEngine
-// (walk/block_engine.hpp) instead of a substrate. One engine — and so
-// one extent cache — serves every trial, which forces the trial loop
-// serial: the options are pinned to kLanes parallelism with no pool
-// (run_monte_carlo's serial caller loop) and the per-trial streams,
-// reduction order, and seeding scheme are exactly the substrate
-// overloads', so for a given (graph, seed) the estimates are
-// BIT-IDENTICAL to the in-core path at any memory budget (determinism
-// contract v4).
+// The fixed-target variants are what the giant-graph experiments are
+// built on: full cover is Θ(n²) on a 10^8-cycle, but the time for k walks
+// to visit a fixed number of distinct vertices is cheap to sample and
+// shows the same speed-up regimes (the paper's own cycle argument, Lemmas
+// 21/22, bounds exactly the spread of the k walks).
 
 class BlockWalkEngine;
 
@@ -261,22 +176,177 @@ struct BlockedRunTotals {
   void absorb(const BlockWalkEngine& engine);
 };
 
-/// Expected rounds for k tokens at `start` to visit `target` distinct
-/// vertices, sampled through the out-of-core engine. Engine counters are
-/// reset at each trial start; pass `totals` to collect the per-trial
-/// aggregate for a run summary.
-McResult estimate_cover_to_target_blocked(BlockWalkEngine& engine,
-                                          Vertex start, unsigned k,
-                                          Vertex target, const McOptions& mc,
-                                          const CoverOptions& cover = {},
-                                          BlockedRunTotals* totals = nullptr);
+/// The out-of-core trial walker: the engine every trial of an estimate
+/// shares, and the totals its per-trial counters are summed into (null:
+/// not collected).
+struct BlockedTrials {
+  BlockWalkEngine& engine;
+  BlockedRunTotals* totals = nullptr;
 
-/// S^k curve with one reused k = 1 baseline; mirrors
-/// estimate_speedup_curve_to_target's seeding exactly (baseline stream
-/// mix64(seed ^ 0x1a1c), per-k mix64(seed ^ (0xbeef00+k))).
-std::vector<SpeedupEstimate> estimate_speedup_curve_to_target_blocked(
-    BlockWalkEngine& engine, Vertex start, Vertex target,
+  Vertex num_vertices() const;
+};
+
+/// One blocked trial, the counterpart of the substrate funnel in
+/// walk/cover.hpp: resets the engine to `starts`, zeroes its counters and
+/// runs until `target` vertices are visited, then folds the trial's
+/// counters into the totals. Walking never reads the counters, so this
+/// cannot perturb the v4 schedule.
+CoverSample sample_cover_to_target(const BlockedTrials& walker,
+                                   std::span<const Vertex> starts,
+                                   Vertex target, Rng& rng,
+                                   const CoverOptions& options = {});
+
+/// What a cover estimate's trials run on.
+template <class W>
+concept TrialWalker = Substrate<W> || std::same_as<W, BlockedTrials>;
+
+/// Plans an estimate's trials: writes the decision into the option COPIES
+/// the estimate runs with and returns the pool its trial loop runs on. A
+/// substrate goes through apply_thread_budget; the shared block engine
+/// pins serial kLanes trials with no pool and no lane shards.
+template <Substrate S>
+ThreadPool* plan_cover_trials(const S& /*substrate*/, std::size_t lanes,
+                              ThreadPool* pool, McOptions& mc,
+                              CoverOptions& cover) {
+  apply_thread_budget(lanes, pool, mc, cover);
+  return pool;
+}
+
+inline ThreadPool* plan_cover_trials(const BlockedTrials& /*walker*/,
+                                     std::size_t /*lanes*/,
+                                     ThreadPool* /*pool*/, McOptions& mc,
+                                     CoverOptions& cover) {
+  mc.parallelism = McParallelism::kLanes;
+  cover.lane_shards = 0;
+  cover.shard_pool = nullptr;
+  return nullptr;
+}
+
+/// Estimates the expected rounds for tokens started at `starts` to visit
+/// `target` distinct vertices (target = num_vertices() → cover time).
+template <TrialWalker W>
+McResult estimate_cover_to_target(const W& walker,
+                                  std::span<const Vertex> starts,
+                                  Vertex target, const McOptions& mc,
+                                  const CoverOptions& cover = {},
+                                  ThreadPool* pool = nullptr) {
+  McOptions mc_planned = mc;
+  CoverOptions cover_planned = cover;
+  ThreadPool* const trial_pool = plan_cover_trials(
+      walker, starts.size(), pool, mc_planned, cover_planned);
+  return run_monte_carlo(
+      [walker, owned = std::vector<Vertex>(starts.begin(), starts.end()),
+       target, cover_planned](std::uint64_t, Rng& rng) {
+        const CoverSample sample =
+            sample_cover_to_target(walker, owned, target, rng, cover_planned);
+        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
+      },
+      mc_planned, trial_pool);
+}
+
+/// The same with k tokens all started at `start`.
+template <TrialWalker W>
+McResult estimate_cover_to_target(const W& walker, Vertex start, unsigned k,
+                                  Vertex target, const McOptions& mc,
+                                  const CoverOptions& cover = {},
+                                  ThreadPool* pool = nullptr) {
+  MW_REQUIRE(k >= 1, "k must be >= 1");
+  const std::vector<Vertex> starts(k, start);
+  return estimate_cover_to_target(walker, starts, target, mc, cover, pool);
+}
+
+template <TrialWalker W>
+McResult estimate_cover_time(const W& walker, Vertex start,
+                             const McOptions& mc, const CoverOptions& cover = {},
+                             ThreadPool* pool = nullptr) {
+  return estimate_cover_to_target(walker, start, 1, walker.num_vertices(), mc,
+                                  cover, pool);
+}
+
+template <TrialWalker W>
+McResult estimate_k_cover_time(const W& walker, Vertex start, unsigned k,
+                               const McOptions& mc,
+                               const CoverOptions& cover = {},
+                               ThreadPool* pool = nullptr) {
+  return estimate_cover_to_target(walker, start, k, walker.num_vertices(), mc,
+                                  cover, pool);
+}
+
+/// k-walk cover time with the k starts RE-DRAWN each trial from the
+/// stationary distribution of the graph whose CSR row index is `offsets`.
+template <TrialWalker W>
+McResult estimate_stationary_start_cover(
+    const W& walker, std::span<const std::uint64_t> offsets, unsigned k,
+    const McOptions& mc, const CoverOptions& cover = {},
+    ThreadPool* pool = nullptr) {
+  MW_REQUIRE(k >= 1, "k must be >= 1");
+  McOptions mc_planned = mc;
+  CoverOptions cover_planned = cover;
+  ThreadPool* const trial_pool =
+      plan_cover_trials(walker, k, pool, mc_planned, cover_planned);
+  return run_monte_carlo(
+      [walker, offsets, k, cover_planned](std::uint64_t, Rng& rng) {
+        std::vector<Vertex> starts(k);
+        for (Vertex& s : starts) s = sample_stationary_vertex_csr(offsets, rng);
+        const CoverSample sample = sample_cover_to_target(
+            walker, starts, walker.num_vertices(), rng, cover_planned);
+        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
+      },
+      mc_planned, trial_pool);
+}
+
+/// Estimates S^k = T¹(target)/T^k(target) across several k, reusing one
+/// k = 1 baseline (stream mix64(seed ^ 0x1a1c)); each k > 1 runs on
+/// mix64(seed ^ (0xbeef00 + k)).
+template <TrialWalker W>
+std::vector<SpeedupEstimate> estimate_speedup_curve_to_target(
+    const W& walker, Vertex start, Vertex target,
     std::span<const unsigned> ks, const McOptions& mc,
-    const CoverOptions& cover = {}, BlockedRunTotals* totals = nullptr);
+    const CoverOptions& cover = {}, ThreadPool* pool = nullptr) {
+  MW_REQUIRE(!ks.empty(), "need at least one k");
+  // One pool for every point of the curve; the shared block engine runs
+  // its trials on the caller and needs none.
+  std::unique_ptr<ThreadPool> local_pool;
+  if (pool == nullptr && Substrate<W>) {
+    local_pool = std::make_unique<ThreadPool>(mc.threads);
+    pool = local_pool.get();
+  }
+  McOptions base = mc;
+  base.seed = mix64(mc.seed ^ 0x1a1cULL);  // distinct stream for the baseline
+  const McResult single =
+      estimate_cover_to_target(walker, start, 1, target, base, cover, pool);
+
+  std::vector<SpeedupEstimate> curve;
+  curve.reserve(ks.size());
+  for (unsigned k : ks) {
+    MW_REQUIRE(k >= 1, "k must be >= 1");
+    McOptions per_k = mc;
+    per_k.seed = mix64(mc.seed ^ (0xbeef00ULL + k));
+    const McResult multi =
+        k == 1 ? single
+               : estimate_cover_to_target(walker, start, k, target, per_k,
+                                          cover, pool);
+    SpeedupEstimate est = combine_speedup(k, single, multi);
+    if (k == 1) {
+      // Numerator and denominator are the same estimate: S^1 is exactly 1
+      // with no uncertainty (perfectly correlated errors) — and exactly 1
+      // even when the baseline was censored, so the ratio is not flagged
+      // (the T^1 column still is).
+      est.half_width = 0.0;
+      est.censored = 0;
+    }
+    curve.push_back(est);
+  }
+  return curve;
+}
+
+template <TrialWalker W>
+std::vector<SpeedupEstimate> estimate_speedup_curve(
+    const W& walker, Vertex start, std::span<const unsigned> ks,
+    const McOptions& mc, const CoverOptions& cover = {},
+    ThreadPool* pool = nullptr) {
+  return estimate_speedup_curve_to_target(walker, start, walker.num_vertices(),
+                                          ks, mc, cover, pool);
+}
 
 }  // namespace manywalks

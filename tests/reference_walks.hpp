@@ -12,9 +12,9 @@
 //     tokens consume ONE stream token by token (step_walk order). Its
 //     samples differ from the engine's trial by trial, but the cover-time
 //     DISTRIBUTION is the same — the baseline of the distribution tests.
-//   * step_walk / step_walk_lazy (one shared-stream step) and the
-//     epoch-stamped VisitTracker are that baseline's building blocks; the
-//     benchmarks' shared-stream cover loop uses them too.
+//   * step_walk / step_walk_lazy (one shared-stream step) are that
+//     baseline's building blocks; the benchmarks' shared-stream cover loop
+//     uses them too.
 #pragma once
 
 #include <algorithm>
@@ -42,46 +42,6 @@ inline Vertex step_walk_lazy(const Graph& g, Vertex v, Rng& rng,
   if (laziness > 0.0 && rng.uniform01() < laziness) return v;
   return step_walk(g, v, rng);
 }
-
-/// Visited set with O(1) reset for repeated trials: each vertex stores the
-/// epoch of its last visit and reset() just bumps the epoch.
-class VisitTracker {
- public:
-  explicit VisitTracker(Vertex num_vertices)
-      : stamp_(num_vertices, 0), epoch_(0) {
-    reset();
-  }
-
-  /// Forgets all visits in O(1) (amortized; a full clear happens only on
-  /// 32-bit epoch wrap-around).
-  void reset() {
-    if (epoch_ == UINT32_MAX) {
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 0;
-    }
-    ++epoch_;
-    num_visited_ = 0;
-  }
-
-  /// Marks v visited; returns true on first visit this epoch.
-  bool visit(Vertex v) {
-    if (stamp_[v] == epoch_) return false;
-    stamp_[v] = epoch_;
-    ++num_visited_;
-    return true;
-  }
-
-  bool visited(Vertex v) const { return stamp_[v] == epoch_; }
-
-  Vertex num_visited() const { return num_visited_; }
-  Vertex num_vertices() const { return static_cast<Vertex>(stamp_.size()); }
-  bool all_visited() const { return num_visited_ == num_vertices(); }
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_;
-  Vertex num_visited_ = 0;
-};
 
 template <class S>
 class LaneReferenceWalk {
@@ -194,11 +154,18 @@ inline CoverSample shared_stream_cover(const Graph& g,
                                        std::span<const Vertex> starts,
                                        Vertex target, Rng& rng,
                                        const CoverOptions& options = {}) {
-  VisitTracker tracker(g.num_vertices());
+  std::vector<bool> visited(g.num_vertices(), false);
+  Vertex num_visited = 0;
+  const auto visit = [&](Vertex v) {
+    if (!visited[v]) {
+      visited[v] = true;
+      ++num_visited;
+    }
+  };
   std::vector<Vertex> tokens(starts.begin(), starts.end());
-  for (Vertex s : tokens) tracker.visit(s);
+  for (Vertex s : tokens) visit(s);
   CoverSample sample;
-  if (tracker.num_visited() >= target) {
+  if (num_visited >= target) {
     sample.covered = true;
     return sample;
   }
@@ -209,9 +176,9 @@ inline CoverSample shared_stream_cover(const Graph& g,
     for (Vertex& token : tokens) {
       token = lazy ? step_walk_lazy(g, token, rng, options.laziness)
                    : step_walk(g, token, rng);
-      tracker.visit(token);
+      visit(token);
     }
-    if (tracker.num_visited() >= target) {
+    if (num_visited >= target) {
       sample.steps = t;
       sample.covered = true;
       return sample;

@@ -2,8 +2,8 @@
 // round-trips and index validation, BlockedGraph/ExtentCache mechanics,
 // and — the heart of the contract — bit-identity of BlockWalkEngine
 // against the in-core lane engine at every budget, on cover runs,
-// fixed-round runs, chunked runs, lazy walks, and through the blocked
-// Monte-Carlo estimators.
+// fixed-round runs, chunked runs, lazy walks, and through the Monte-Carlo
+// estimators run on the shared block engine.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -606,7 +606,7 @@ TEST(BlockEngineContract, EveryTarget) {
   EXPECT_TRUE(seen_round[kBlockHorizon + 1]);
 }
 
-// --- blocked estimators ------------------------------------------------------
+// --- blocked estimators: the shared cover-estimate path on the block engine --
 
 TEST(BlockedEstimators, CoverEstimateMatchesInCore) {
   const Graph graph = make_margulis_expander(16);
@@ -622,8 +622,9 @@ TEST(BlockedEstimators, CoverEstimateMatchesInCore) {
       graph, /*start=*/0, /*k=*/8, mc, CoverOptions{}, nullptr);
 
   BlockWalkEngine engine(blocked, 4096);
-  const McResult got = estimate_cover_to_target_blocked(
-      engine, /*start=*/0, /*k=*/8, graph.num_vertices(), mc, CoverOptions{});
+  const McResult got =
+      estimate_cover_to_target(BlockedTrials{engine}, /*start=*/0, /*k=*/8,
+                               graph.num_vertices(), mc, CoverOptions{});
   EXPECT_EQ(expect.ci.count, got.ci.count);
   EXPECT_EQ(expect.ci.mean, got.ci.mean);
   EXPECT_EQ(expect.ci.half_width, got.ci.half_width);
@@ -647,8 +648,8 @@ TEST(BlockedEstimators, SpeedupCurveMatchesInCore) {
       substrate, 0, target, ks, mc, CoverOptions{}, nullptr);
 
   BlockWalkEngine engine(blocked, 1 << 14);
-  const auto got = estimate_speedup_curve_to_target_blocked(
-      engine, 0, target, ks, mc, CoverOptions{});
+  const auto got = estimate_speedup_curve_to_target(
+      BlockedTrials{engine}, 0, target, ks, mc, CoverOptions{});
   ASSERT_EQ(expect.size(), got.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     SCOPED_TRACE(ks[i]);

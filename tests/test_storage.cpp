@@ -1,8 +1,8 @@
 // The storage/ subsystem: mwg round-trips across every generator family,
-// malformed-file rejection, mmap-vs-in-core walk-engine bit identity in
-// both rng modes (including the registered mwg experiments), external
-// edge-list ingestion corner cases, and the zero-adjacency-read contract
-// of the shallow (info) load path at 10^6 vertices.
+// malformed-file rejection, mmap-vs-in-core walk-engine bit identity
+// (including the registered mwg experiments, in core and --block-walk),
+// external edge-list ingestion corner cases, and the zero-adjacency-read
+// contract of the shallow (info) load path at 10^6 vertices.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -397,6 +397,39 @@ TEST(MwgExperiments, RegisteredRunnersWorkEndToEnd) {
     EXPECT_EQ(result.name, name);
     ASSERT_FALSE(result.tables.empty());
     EXPECT_FALSE(result.tables.front().rows().empty());
+  }
+}
+
+TEST(MwgExperiments, BlockWalkTablesEqualInCore) {
+  // Determinism contract v4 as the registry serves it: the --block-walk
+  // runs of both mwg experiments print the in-core run's tables at a
+  // budget that holds one extent and at one that holds the whole store.
+  const Graph g = make_margulis_expander(16);
+  TempFile file("block_walk.mwg");
+  write_mwg(file.path(), g, /*block_bits=*/5);
+  ThreadPool pool(2);
+  const auto tables_json = [](const ExperimentResult& result) {
+    ExperimentResult tables_only;
+    tables_only.tables = result.tables;
+    return cli::render_json(tables_only);
+  };
+  for (const char* name : {"mwg-speedup", "mwg-starts"}) {
+    SCOPED_TRACE(name);
+    const cli::Experiment* experiment = cli::default_registry().find(name);
+    ASSERT_NE(experiment, nullptr);
+    cli::ExperimentParams params;
+    params.seed = experiment->info.default_seed;
+    params.trials = 8;
+    params.kmax = 8;
+    params.k = 8;
+    params.graph = file.path();
+    const std::string in_core = tables_json(experiment->run(params, pool));
+    params.block_walk = true;
+    for (const char* budget : {"4K", "256M"}) {
+      SCOPED_TRACE(budget);
+      params.mem_budget = budget;
+      EXPECT_EQ(in_core, tables_json(experiment->run(params, pool)));
+    }
   }
 }
 

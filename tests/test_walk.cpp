@@ -11,32 +11,6 @@
 namespace manywalks {
 namespace {
 
-TEST(VisitTrackerTest, TracksAndResets) {
-  VisitTracker t(4);
-  EXPECT_EQ(t.num_visited(), 0u);
-  EXPECT_TRUE(t.visit(2));
-  EXPECT_FALSE(t.visit(2));
-  EXPECT_TRUE(t.visited(2));
-  EXPECT_FALSE(t.visited(1));
-  EXPECT_EQ(t.num_visited(), 1u);
-  t.visit(0);
-  t.visit(1);
-  t.visit(3);
-  EXPECT_TRUE(t.all_visited());
-  t.reset();
-  EXPECT_EQ(t.num_visited(), 0u);
-  EXPECT_FALSE(t.visited(2));
-}
-
-TEST(VisitTrackerTest, ManyResetsStayCorrect) {
-  VisitTracker t(3);
-  for (int round = 0; round < 10000; ++round) {
-    t.reset();
-    EXPECT_TRUE(t.visit(static_cast<Vertex>(round % 3)));
-    EXPECT_EQ(t.num_visited(), 1u);
-  }
-}
-
 TEST(StepWalk, StaysOnNeighbors) {
   const Graph g = make_cycle(6);
   Rng rng(1);
