@@ -1,6 +1,5 @@
-// Out-of-core access to mwg v2 files: metadata-resident graph handle,
-// RAII file extents, and an LRU extent cache with an explicit byte
-// budget.
+// Out-of-core access to mwg v2 files: a metadata-resident graph handle
+// and an LRU extent cache with an explicit byte budget.
 //
 // MappedGraph (mapped_graph.hpp) maps the WHOLE file and trusts the page
 // cache; once the CSR outgrows memory the walk hot path degenerates to
@@ -8,12 +7,17 @@
 // header + offsets array up front and the v2 block index at the tail —
 // and hands out adjacency as explicit extents:
 //
-//   * `map_extent(byte_begin, byte_end)` maps one file extent (RAII,
-//     page-aligned internally) and prefetches it as a sequential read;
+//   * `map_extent(byte_begin, byte_end)` maps one file extent (a
+//     MappedExtent, storage/mwg.hpp) and prefetches it as a sequential
+//     read;
 //   * `ExtentCache` keeps an LRU of mapped extents bounded by an
 //     explicit byte budget (`--mem-budget`), so the resident set is a
 //     scheduling decision, not a page-cache accident. At least one
 //     extent stays resident even when it alone exceeds the budget.
+//
+// BlockedGraph validates a file exactly as MappedGraph does — both run
+// MwgMetadata's header check and structure scan — and adds only the
+// requirement of a v2 block index.
 //
 // The budget shapes ONLY eviction — never which extents are requested in
 // what order — which is what keeps the block engine's schedule (and so
@@ -28,83 +32,22 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <span>
 #include <string>
 
 #include "graph/graph.hpp"
-#include "storage/mapped_graph.hpp"
 #include "storage/mwg.hpp"
 
 namespace manywalks {
-
-/// One read-only mapping of a file byte extent. Move-only RAII; `data()`
-/// points at `byte_begin` (the mapping itself is page-aligned
-/// internally). Produced by BlockedGraph::map_extent.
-class MappedExtent {
- public:
-  MappedExtent() = default;
-  ~MappedExtent();
-
-  MappedExtent(MappedExtent&& other) noexcept;
-  MappedExtent& operator=(MappedExtent&& other) noexcept;
-  MappedExtent(const MappedExtent&) = delete;
-  MappedExtent& operator=(const MappedExtent&) = delete;
-
-  bool empty() const noexcept { return base_ == nullptr; }
-  /// First byte of the requested extent (file offset `byte_begin`).
-  const std::byte* data() const noexcept {
-    return reinterpret_cast<const std::byte*>(
-               static_cast<const char*>(base_)) +
-           lead_;
-  }
-  /// Bytes actually mapped (requested extent plus page-alignment lead).
-  std::uint64_t mapped_bytes() const noexcept { return mapped_bytes_; }
-
- private:
-  friend class BlockedGraph;
-  MappedExtent(int fd, std::uint64_t byte_begin, std::uint64_t byte_end,
-               const std::string& path);
-
-  void* base_ = nullptr;
-  std::uint64_t mapped_bytes_ = 0;
-  std::uint64_t lead_ = 0;  // byte_begin - page-aligned mapping start
-};
 
 /// Metadata-resident handle on an mwg v2 file. Maps the header + offsets
 /// array and the block index; the adjacency region is NEVER mapped as a
 /// whole — callers pull it in through map_extent / ExtentCache. Rejects
 /// v1 files (no block index to schedule by) with an upgrade hint.
-class BlockedGraph {
+class BlockedGraph : public MwgMetadata {
  public:
   explicit BlockedGraph(const std::string& path);
-  ~BlockedGraph();
-
-  BlockedGraph(BlockedGraph&& other) noexcept;
-  BlockedGraph& operator=(BlockedGraph&& other) noexcept;
-  BlockedGraph(const BlockedGraph&) = delete;
-  BlockedGraph& operator=(const BlockedGraph&) = delete;
-
-  Vertex num_vertices() const noexcept {
-    return static_cast<Vertex>(header_.num_vertices);
-  }
-  std::uint64_t num_arcs() const noexcept { return header_.num_arcs; }
-  std::uint64_t num_loops() const noexcept { return header_.num_loops; }
-  Vertex min_degree() const noexcept { return header_.min_degree; }
-  Vertex max_degree() const noexcept { return header_.max_degree; }
-  Vertex degree(Vertex v) const noexcept {
-    return static_cast<Vertex>(offsets_[v + 1] - offsets_[v]);
-  }
-  /// The resident offsets array (n+1 entries) — valid while this
-  /// BlockedGraph is alive.
-  std::span<const std::uint64_t> offsets() const noexcept {
-    return {offsets_, static_cast<std::size_t>(header_.num_vertices) + 1};
-  }
 
   // --- block geometry -------------------------------------------------
-  std::uint32_t block_bits() const noexcept { return block_bits_; }
-  std::uint64_t num_blocks() const noexcept {
-    return mwg_num_blocks(header_.num_vertices, block_bits_);
-  }
   std::uint64_t block_of(Vertex v) const noexcept { return v >> block_bits_; }
   Vertex block_first_vertex(std::uint64_t b) const noexcept {
     return static_cast<Vertex>(b << block_bits_);
@@ -131,8 +74,6 @@ class BlockedGraph {
   std::uint64_t block_byte_end(std::uint64_t b) const noexcept {
     return arc_byte(block_arc_begin_[b + 1]);
   }
-  std::uint64_t file_bytes() const noexcept { return file_bytes_; }
-  const std::string& path() const noexcept { return path_; }
 
   /// Maps the file extent [byte_begin, byte_end) read-only and prefetches
   /// it as one sequential read. Throws MwgIoError on mmap failure (e.g.
@@ -142,21 +83,12 @@ class BlockedGraph {
                           std::uint64_t byte_end) const;
 
  private:
-  void close_all() noexcept;
+  explicit BlockedGraph(ReadOnlyFile file);
 
-  std::string path_;
-  int fd_ = -1;
-  std::uint64_t file_bytes_ = 0;
-  MwgHeader header_{};
-  std::uint32_t block_bits_ = 0;
+  ReadOnlyFile file_;
   // Two metadata mappings: [0, targets_begin) and the tail block index.
-  void* meta_base_ = nullptr;
-  std::uint64_t meta_bytes_ = 0;
-  void* index_base_ = nullptr;
-  std::uint64_t index_bytes_ = 0;
-  const std::uint64_t* offsets_ = nullptr;
-  const std::uint64_t* block_arc_begin_ = nullptr;
-  const Vertex* block_max_degree_ = nullptr;
+  MappedExtent meta_;
+  MappedExtent index_;
 };
 
 /// LRU cache of mapped extents bounded by an explicit byte budget. The

@@ -1,7 +1,14 @@
 #include "storage/mwg.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
-#include <limits>
+#include <system_error>
+#include <utility>
 
 namespace manywalks {
 
@@ -11,6 +18,22 @@ template <class T>
 void write_raw(std::ofstream& out, const T* data, std::size_t count) {
   out.write(reinterpret_cast<const char*>(data),
             static_cast<std::streamsize>(count * sizeof(T)));
+}
+
+constexpr std::uint32_t byte_swap32(std::uint32_t x) noexcept {
+  return ((x & 0x000000ffu) << 24) | ((x & 0x0000ff00u) << 8) |
+         ((x & 0x00ff0000u) >> 8) | ((x & 0xff000000u) >> 24);
+}
+
+/// Thread-safe strerror: std::strerror's static buffer is flagged by
+/// concurrency-mt-unsafe, and loads can legitimately race (e.g. a future
+/// `manywalks serve` opening graphs from worker threads).
+std::string errno_message(int err) {
+  return std::error_code(err, std::generic_category()).message();
+}
+
+std::uint64_t page_size() noexcept {
+  return static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
 }
 
 }  // namespace
@@ -37,7 +60,7 @@ MwgWriter::MwgWriter(std::string path, Vertex num_vertices,
   // written by finish(), so an abandoned file keeps a zeroed header that
   // every loader rejects.
   out_.seekp(static_cast<std::streamoff>(mwg_targets_begin(n_)));
-  MW_REQUIRE(out_.good(), "seek failed on '" << path_ << "'");
+  if (!out_.good()) throw MwgIoError("seek failed on '" + path_ + "'");
 }
 
 void MwgWriter::append_row(std::span<const Vertex> sorted_neighbors) {
@@ -102,7 +125,7 @@ void MwgWriter::finish() {
   write_raw(out_, &header, 1);
   write_raw(out_, offsets_.data(), offsets_.size());
   out_.flush();
-  MW_REQUIRE(out_.good(), "write failed on '" << path_ << "'");
+  if (!out_.good()) throw MwgIoError("write failed on '" + path_ + "'");
   out_.close();
   finished_ = true;
 }
@@ -114,6 +137,190 @@ void write_mwg(const std::string& path, const Graph& g,
     writer.append_row(g.neighbors(v));
   }
   writer.finish();
+}
+
+// --- reading -----------------------------------------------------------------
+
+ReadOnlyFile::ReadOnlyFile(const std::string& path)
+    : path_(path), fd_(::open(path.c_str(), O_RDONLY)) {
+  if (fd_ < 0) {
+    throw MwgIoError("cannot open '" + path + "': " + errno_message(errno));
+  }
+  struct stat st{};
+  if (::fstat(fd_, &st) != 0) {
+    const int err = errno;
+    ::close(fd_);
+    throw MwgIoError("cannot stat '" + path + "': " + errno_message(err));
+  }
+  bytes_ = static_cast<std::uint64_t>(st.st_size);
+}
+
+ReadOnlyFile::~ReadOnlyFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+ReadOnlyFile::ReadOnlyFile(ReadOnlyFile&& other) noexcept
+    : path_(std::move(other.path_)),
+      fd_(std::exchange(other.fd_, -1)),
+      bytes_(other.bytes_) {}
+
+ReadOnlyFile& ReadOnlyFile::operator=(ReadOnlyFile&& other) noexcept {
+  std::swap(path_, other.path_);
+  std::swap(fd_, other.fd_);
+  bytes_ = other.bytes_;
+  return *this;
+}
+
+MappedExtent::MappedExtent(const ReadOnlyFile& file, std::uint64_t byte_begin,
+                           std::uint64_t byte_end) {
+  MW_REQUIRE(byte_begin < byte_end, "empty extent [" << byte_begin << ","
+                                                     << byte_end << ")");
+  const std::uint64_t page = page_size();
+  const std::uint64_t map_begin = (byte_begin / page) * page;
+  const std::uint64_t len = byte_end - map_begin;
+  void* base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, file.fd(),
+                      static_cast<off_t>(map_begin));
+  if (base == MAP_FAILED) {
+    const int err = errno;
+    throw MwgIoError("mmap of bytes [" + std::to_string(byte_begin) + "," +
+                     std::to_string(byte_end) + ") of '" + file.path() +
+                     "' failed: " + errno_message(err));
+  }
+  mapping_ = {base, detail::Unmap{len}};
+  lead_ = byte_begin - map_begin;
+}
+
+void detail::Unmap::operator()(void* base) const noexcept {
+  ::munmap(base, bytes);
+}
+
+void MappedExtent::advise(std::uint64_t begin, std::uint64_t end,
+                          int posix_advice) const noexcept {
+  const std::uint64_t page = page_size();
+  begin = ((lead_ + begin) / page) * page;
+  end = std::min(lead_ + end, mapped_bytes());
+  if (begin >= end) return;
+  ::posix_madvise(static_cast<char*>(mapping_.get()) + begin, end - begin,
+                  posix_advice);
+}
+
+MwgMetadata::MwgMetadata(const ReadOnlyFile& file)
+    : path_(file.path()), file_bytes_(file.bytes()) {
+  const std::uint64_t file_bytes = file.bytes();
+  MW_REQUIRE(file_bytes >= kMwgHeaderBytes,
+             "'" << path_ << "' is not an mwg file: " << file_bytes
+                 << " bytes is smaller than the " << kMwgHeaderBytes
+                 << "-byte header");
+  if (::pread(file.fd(), &header_, sizeof(MwgHeader), 0) !=
+      static_cast<ssize_t>(sizeof(MwgHeader))) {
+    throw MwgIoError("cannot read the header of '" + path_ +
+                     "': " + errno_message(errno));
+  }
+  MW_REQUIRE(std::memcmp(header_.magic, kMwgMagic, sizeof(kMwgMagic)) == 0,
+             "'" << path_ << "' is not an mwg file (bad magic)");
+  MW_REQUIRE(header_.endian != byte_swap32(kMwgEndianTag),
+             "'" << path_ << "' was written on a machine with the opposite "
+                 "byte order; regenerate it natively");
+  MW_REQUIRE(header_.endian == kMwgEndianTag,
+             "'" << path_ << "' has an unrecognized endianness tag");
+  MW_REQUIRE(header_.version == kMwgVersion ||
+                 header_.version == kMwgVersionBlockIndex,
+             "'" << path_ << "' is mwg version " << header_.version
+                 << "; this build reads versions " << kMwgVersion << " and "
+                 << kMwgVersionBlockIndex);
+  MW_REQUIRE(header_.num_vertices < kInvalidVertex,
+             "'" << path_ << "' vertex count " << header_.num_vertices
+                 << " exceeds the 32-bit vertex limit");
+  // Size consistency, derived FROM the file size rather than by
+  // multiplying header fields (num_arcs * 4 from a hostile header could
+  // wrap modulo 2^64 and "match" a file with no adjacency at all).
+  // n < 2^32 keeps mwg_targets_begin itself overflow-free.
+  MW_REQUIRE(file_bytes >= mwg_targets_begin(header_.num_vertices),
+             "'" << path_ << "' is truncated: " << file_bytes
+                 << " bytes cannot hold the header and "
+                 << header_.num_vertices + 1 << " row offsets");
+  if (header_.version == kMwgVersion) {
+    const std::uint64_t adjacency_bytes =
+        file_bytes - mwg_targets_begin(header_.num_vertices);
+    MW_REQUIRE(adjacency_bytes % sizeof(Vertex) == 0 &&
+                   adjacency_bytes / sizeof(Vertex) == header_.num_arcs,
+               "'" << path_ << "' is truncated or padded: header claims "
+                   << header_.num_arcs << " arcs, file has "
+                   << adjacency_bytes << " adjacency bytes");
+    return;
+  }
+  // v2: the file carries a trailing block index. Bound num_arcs by the
+  // file size first so mwg_file_bytes_v2 below cannot overflow on a
+  // hostile header, then require the exact v2 size.
+  block_bits_ = static_cast<std::uint32_t>(header_.reserved[0]);
+  MW_REQUIRE(header_.reserved[0] >= 1 &&
+                 header_.reserved[0] <= kMwgMaxBlockBits,
+             "'" << path_ << "': v2 block_bits " << header_.reserved[0]
+                 << " outside [1," << kMwgMaxBlockBits << "]");
+  MW_REQUIRE(header_.reserved[1] == 0,
+             "'" << path_ << "': v2 reserved field is nonzero");
+  MW_REQUIRE(header_.num_arcs <= file_bytes / sizeof(Vertex),
+             "'" << path_ << "' is truncated: header claims "
+                 << header_.num_arcs << " arcs, file has only " << file_bytes
+                 << " bytes");
+  const std::uint64_t expected = mwg_file_bytes_v2(
+      header_.num_vertices, header_.num_arcs, block_bits_);
+  MW_REQUIRE(file_bytes == expected,
+             "'" << path_ << "' is truncated or padded: a v2 file with "
+                 << header_.num_arcs << " arcs and block_bits " << block_bits_
+                 << " must be " << expected << " bytes, file has "
+                 << file_bytes);
+}
+
+void MwgMetadata::check_structure() const {
+  const std::uint64_t n = header_.num_vertices;
+  MW_REQUIRE(offsets_[0] == 0, "'" << path_ << "': offsets must start at 0");
+  MW_REQUIRE(offsets_[n] == header_.num_arcs,
+             "'" << path_ << "': offsets end at " << offsets_[n]
+                 << ", header claims " << header_.num_arcs << " arcs");
+  Vertex min_deg = n > 0 ? kInvalidVertex : 0;
+  Vertex max_deg = 0;
+  Vertex block_max = 0;  // running max inside the current v2 block
+  for (std::uint64_t v = 0; v < n; ++v) {
+    MW_REQUIRE(offsets_[v] <= offsets_[v + 1],
+               "'" << path_ << "': offsets not monotone at vertex " << v);
+    const std::uint64_t degree = offsets_[v + 1] - offsets_[v];
+    MW_REQUIRE(degree < kInvalidVertex,
+               "'" << path_ << "': degree of vertex " << v << " overflows");
+    min_deg = std::min(min_deg, static_cast<Vertex>(degree));
+    max_deg = std::max(max_deg, static_cast<Vertex>(degree));
+    if (block_bits_ > 0) {
+      // Fused block-index validation: at each block's first vertex the
+      // index must agree with the offsets array, and at its last vertex
+      // the cached max degree must match what the scan saw.
+      const std::uint64_t b = v >> block_bits_;
+      if ((v & ((std::uint64_t{1} << block_bits_) - 1)) == 0) {
+        MW_REQUIRE(block_arc_begin_[b] == offsets_[v],
+                   "'" << path_ << "': block index claims block " << b
+                       << " starts at arc " << block_arc_begin_[b]
+                       << ", offsets say " << offsets_[v]);
+        block_max = 0;
+      }
+      block_max = std::max(block_max, static_cast<Vertex>(degree));
+      if (v + 1 == n || ((v + 1) >> block_bits_) != b) {
+        MW_REQUIRE(block_max_degree_[b] == block_max,
+                   "'" << path_ << "': block index claims block " << b
+                       << " max degree " << block_max_degree_[b]
+                       << ", offsets say " << block_max);
+      }
+    }
+  }
+  MW_REQUIRE(min_deg == header_.min_degree && max_deg == header_.max_degree,
+             "'" << path_ << "': header degree range [" << header_.min_degree
+                 << "," << header_.max_degree
+                 << "] does not match the offsets array [" << min_deg << ","
+                 << max_deg << "]");
+  if (block_bits_ > 0) {
+    MW_REQUIRE(block_arc_begin_[num_blocks()] == header_.num_arcs,
+               "'" << path_ << "': block index ends at arc "
+                   << block_arc_begin_[num_blocks()] << ", header claims "
+                   << header_.num_arcs);
+  }
 }
 
 }  // namespace manywalks

@@ -41,11 +41,19 @@
 // larger than an in-core CSR would allow. The header is written last, by
 // finish(): a crashed or abandoned write leaves a zeroed header that every
 // loader rejects, never a plausible-looking truncated graph.
+//
+// Reading is shared by both loaders (MappedGraph, BlockedGraph): a
+// ReadOnlyFile owns the descriptor, MappedExtent owns every mapping, and
+// MwgMetadata holds the format's validation rules — one header and size
+// check, one structure scan — so the two loaders cannot disagree about
+// which files are valid or how a bad one is reported.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -59,11 +67,12 @@
 namespace manywalks {
 
 /// Environmental I/O failure on an mwg file: missing path, permission
-/// denied, stat/mmap failure. Distinct from the std::invalid_argument that
-/// MW_REQUIRE throws for *content* problems (bad magic, truncation, header
-/// lies) so callers — the CLI above all — can show the message as-is
-/// without the requirement-violated diagnostics prefix: these are user
-/// errors, not bugs, and need no file:line breadcrumb.
+/// denied, stat/mmap failure, a write the device refused. Distinct from
+/// the std::invalid_argument that MW_REQUIRE throws for *content* problems
+/// (bad magic, truncation, header lies) so callers — the CLI above all —
+/// can show the message as-is without the requirement-violated
+/// diagnostics prefix: these are user errors, not bugs, and need no
+/// file:line breadcrumb.
 class MwgIoError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -169,8 +178,8 @@ class MwgWriter {
   void append_row(std::span<const Vertex> sorted_neighbors);
 
   /// Writes the offsets array and the header, and closes the file. Must be
-  /// called after exactly num_vertices() rows; throws if the stream failed
-  /// anywhere along the way.
+  /// called after exactly num_vertices() rows; throws MwgIoError if the
+  /// stream failed anywhere along the way (e.g. a full device).
   void finish();
 
   Vertex num_vertices() const noexcept { return n_; }
@@ -216,5 +225,127 @@ void write_mwg(const std::string& path, const S& substrate,
   }
   writer.finish();
 }
+
+// --- reading -----------------------------------------------------------------
+
+/// `path` opened read-only, with its size at open: the one owner of a
+/// reader's file descriptor. Move-only RAII. Throws MwgIoError when the
+/// path cannot be opened or stat'ed.
+class ReadOnlyFile {
+ public:
+  explicit ReadOnlyFile(const std::string& path);
+  ~ReadOnlyFile();
+
+  ReadOnlyFile(ReadOnlyFile&& other) noexcept;
+  ReadOnlyFile& operator=(ReadOnlyFile&& other) noexcept;
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+
+  int fd() const noexcept { return fd_; }
+  std::uint64_t bytes() const noexcept { return bytes_; }
+  const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t bytes_ = 0;
+};
+
+namespace detail {
+/// MappedExtent's deleter: munmap of the whole mapping.
+struct Unmap {
+  std::uint64_t bytes = 0;
+  void operator()(void* base) const noexcept;
+};
+}  // namespace detail
+
+/// One read-only mapping of the file extent [byte_begin, byte_end): the one
+/// owner of every mmap/munmap in the tree. Move-only RAII; `data()` points
+/// at `byte_begin` (the mapping itself starts on the page boundary at or
+/// below it). A new extent carries no page-cache advice.
+class MappedExtent {
+ public:
+  MappedExtent() = default;
+  /// Throws MwgIoError on mmap failure (e.g. an address-space limit).
+  MappedExtent(const ReadOnlyFile& file, std::uint64_t byte_begin,
+               std::uint64_t byte_end);
+
+  bool empty() const noexcept { return mapping_ == nullptr; }
+  /// First byte of the requested extent (file offset `byte_begin`).
+  const std::byte* data() const noexcept {
+    return static_cast<const std::byte*>(mapping_.get()) + lead_;
+  }
+  /// Bytes actually mapped (requested extent plus page-alignment lead).
+  std::uint64_t mapped_bytes() const noexcept {
+    return mapping_.get_deleter().bytes;
+  }
+
+  /// posix_madvise over [begin, end) counted from data(), widened down to
+  /// a page boundary and clamped to the mapping. Best effort: failures are
+  /// ignored.
+  void advise(std::uint64_t begin, std::uint64_t end,
+              int posix_advice) const noexcept;
+
+ private:
+  std::unique_ptr<void, detail::Unmap> mapping_;
+  std::uint64_t lead_ = 0;  // byte_begin - page-aligned mapping start
+};
+
+/// What both loaders keep of an open mwg file: its path and size, the
+/// validated header, and views of the offsets array and the v2 block index
+/// inside the loader's own mappings. MappedGraph and BlockedGraph derive
+/// from it, so the format's rules are checked in one place: the
+/// constructor checks the header and the file size, check_structure()
+/// scans the offsets and the block index. A violated rule throws
+/// std::invalid_argument naming the file and the rule.
+class MwgMetadata {
+ public:
+  Vertex num_vertices() const noexcept {
+    return static_cast<Vertex>(header_.num_vertices);
+  }
+  std::uint64_t num_arcs() const noexcept { return header_.num_arcs; }
+  std::uint64_t num_loops() const noexcept { return header_.num_loops; }
+  Vertex min_degree() const noexcept { return header_.min_degree; }
+  Vertex max_degree() const noexcept { return header_.max_degree; }
+  Vertex degree(Vertex v) const noexcept {
+    return static_cast<Vertex>(offsets_[v + 1] - offsets_[v]);
+  }
+  /// The offsets array (n+1 entries), a view into the loader's mapping —
+  /// valid only while the loader is alive.
+  std::span<const std::uint64_t> offsets() const noexcept {
+    return {offsets_, static_cast<std::size_t>(header_.num_vertices) + 1};
+  }
+
+  /// 0 on v1 files (no block index).
+  std::uint32_t block_bits() const noexcept { return block_bits_; }
+  std::uint64_t num_blocks() const noexcept {
+    return block_bits_ > 0 ? mwg_num_blocks(header_.num_vertices, block_bits_)
+                           : 0;
+  }
+
+  const std::string& path() const noexcept { return path_; }
+  std::uint64_t file_bytes() const noexcept { return file_bytes_; }
+
+ protected:
+  /// Reads the header of `file` and checks magic, endianness tag, version,
+  /// the 32-bit vertex limit, the v2 block_bits and reserved field, and
+  /// the exact file size — derived from the file, so a hostile header
+  /// cannot overflow the arithmetic.
+  explicit MwgMetadata(const ReadOnlyFile& file);
+
+  /// Structure scan, once the loader has bound offsets_ (and, on v2, the
+  /// block index views): offsets start at 0, end at num_arcs and never
+  /// decrease; the degree range matches the header; every block-index
+  /// entry matches the offsets. O(n); never touches the targets.
+  void check_structure() const;
+
+  std::string path_;
+  std::uint64_t file_bytes_ = 0;
+  MwgHeader header_{};
+  std::uint32_t block_bits_ = 0;  // 0 = v1, no block index
+  const std::uint64_t* offsets_ = nullptr;
+  const std::uint64_t* block_arc_begin_ = nullptr;
+  const Vertex* block_max_degree_ = nullptr;
+};
 
 }  // namespace manywalks

@@ -40,15 +40,6 @@ inline Vertex sample_stationary_vertex(const Graph& g, Rng& rng) {
   return sample_stationary_vertex_csr(g.offsets(), rng);
 }
 
-/// k independent stationary starts (with repetition).
-inline std::vector<Vertex> sample_stationary_starts(const Graph& g, unsigned k,
-                                                    Rng& rng) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  std::vector<Vertex> starts(k);
-  for (Vertex& s : starts) s = sample_stationary_vertex(g, rng);
-  return starts;
-}
-
 /// k independent uniform starts (with repetition). Uses the full-word
 /// Lemire draw: at giant n the 32-bit uniform_below re-draws with
 /// probability (2^32 mod n)/2^32 (~2.2% at n = 10^8); the wide path makes

@@ -267,6 +267,21 @@ TEST(MwgIoErrors, UnwritableWriterPathThrowsCleanIoError) {
   }
 }
 
+// A device that refuses the write is an environmental failure too: the
+// writer reports it as MwgIoError, not as a violated requirement.
+TEST(MwgIoErrors, FullDeviceWriteThrowsCleanIoError) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << full << " is absent";
+  try {
+    write_mwg(full, make_cycle(4096));
+    FAIL() << "expected MwgIoError";
+  } catch (const MwgIoError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(full), std::string::npos) << what;
+    EXPECT_EQ(what.find("requirement violated"), std::string::npos) << what;
+  }
+}
+
 // MwgIoError still lands in generic std::exception handlers (it must never
 // bypass the CLI's catch).
 TEST(MwgIoErrors, IsARuntimeError) {
