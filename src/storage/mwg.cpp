@@ -78,6 +78,9 @@ void MwgWriter::append_row(std::span<const Vertex> sorted_neighbors) {
     if (u == v) ++loops_;
   }
   write_raw(out_, sorted_neighbors.data(), sorted_neighbors.size());
+  // Checked per row, so a device that refuses a flush stops the writer at
+  // that row instead of after every remaining row has been generated.
+  if (!out_.good()) throw MwgIoError("write failed on '" + path_ + "'");
   const auto degree = static_cast<Vertex>(sorted_neighbors.size());
   min_degree_ = std::min(min_degree_, degree);
   max_degree_ = std::max(max_degree_, degree);

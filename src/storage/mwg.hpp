@@ -174,7 +174,9 @@ class MwgWriter {
 
   /// Appends the adjacency row of the next vertex (rows_appended() so
   /// far). Neighbors must be sorted ascending — the CSR row order every
-  /// substrate binding and golden stream is defined against.
+  /// substrate binding and golden stream is defined against. Throws
+  /// MwgIoError, with the row not counted, if the stream has failed (a
+  /// full device refuses the buffer flush this row's write triggered).
   void append_row(std::span<const Vertex> sorted_neighbors);
 
   /// Writes the offsets array and the header, and closes the file. Must be

@@ -17,8 +17,9 @@ class ThreadPool;  // util/thread_pool.hpp
 /// cut and therefore every result is invariant under --threads
 /// (determinism contract v3). One shard per 256 lanes keeps each shard's
 /// work per epoch (256 lanes × kShardEpochRounds rounds) long enough to
-/// amortize the epoch's two barriers; 32 caps the merge width and the
-/// S·n/8-byte shard scratch.
+/// amortize the epoch's two barriers; 32 caps the team (at most one
+/// executor per shard), and with it the team·n/8-byte bitmap scratch and
+/// the merge width.
 constexpr unsigned auto_lane_shards(std::size_t lanes) noexcept {
   return std::clamp<unsigned>(static_cast<unsigned>(lanes / 256), 1u, 32u);
 }

@@ -73,15 +73,25 @@ inline constexpr std::uint64_t kStayArc = ~std::uint64_t{0};
 // of line and made every small-k round a call.
 
 /// Marks one landing in the visit scratch (and the optional counters).
-template <bool kCounts>
+/// kTally keeps `visited` exact: the serial paths stop on it, and there
+/// the first-visit branch is well predicted (late in a trial most landings
+/// are repeats). The sharded driver's rounds pass kTally = false and get a
+/// plain branchless OR: its count comes from the epoch merge, and on a
+/// bitmap that starts empty every trial the branch is close to a coin flip.
+template <bool kCounts, bool kTally = true>
 [[gnu::always_inline]]
-inline void commit_visit(Vertex v, std::uint64_t* words, Vertex& visited,
+inline void commit_visit(Vertex v, std::uint64_t* words,
+                         [[maybe_unused]] Vertex& visited,
                          [[maybe_unused]] std::uint64_t* counts) {
   std::uint64_t& word = words[v >> 6];
   const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-  if ((word & bit) == 0) {
+  if constexpr (kTally) {
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++visited;
+    }
+  } else {
     word |= bit;
-    ++visited;
   }
   if constexpr (kCounts) ++counts[v];
 }
@@ -94,7 +104,7 @@ inline void commit_visit(Vertex v, std::uint64_t* words, Vertex& visited,
 ///      block's offset rows, overlapping its stage 1);
 ///   3. commit tokens/bits/counters, warm the landing vertex's offset row
 ///      for the next round.
-template <bool kLazy, bool kCounts, class S>
+template <bool kLazy, bool kCounts, bool kTally, class S>
 inline void lane_round_csr(const S& substrate, Vertex* toks, Rng* rngs,
                            std::size_t k, [[maybe_unused]] double laziness,
                            std::uint64_t* words, Vertex& visited,
@@ -144,7 +154,7 @@ inline void lane_round_csr(const S& substrate, Vertex* toks, Rng* rngs,
     for (std::size_t j = 0; j < nb; ++j) {  // stage 3
       const Vertex v = nexts[j];
       toks[base + j] = v;
-      commit_visit<kCounts>(v, words, visited, counts);
+      commit_visit<kCounts, kTally>(v, words, visited, counts);
       substrate.prefetch_degree_row(v);
     }
   }
@@ -185,7 +195,7 @@ struct LanePerVertexDraw {
 /// no loads, so no staging is worth its overhead — a fused loop of k
 /// independent (rng, position) chains already lets the core overlap the
 /// tracker-word accesses, the only memory the implicit families touch.
-template <bool kLazy, bool kCounts, class S, class Draw>
+template <bool kLazy, bool kCounts, bool kTally, class S, class Draw>
 [[gnu::always_inline]]
 inline void lane_round_direct(const S& substrate, Draw draw, Vertex* toks,
                               Rng* rngs, std::size_t k,
@@ -196,13 +206,13 @@ inline void lane_round_direct(const S& substrate, Draw draw, Vertex* toks,
     Vertex v = toks[i];
     if constexpr (kLazy) {
       if (rngs[i].uniform01() < laziness) {
-        commit_visit<kCounts>(v, words, visited, counts);
+        commit_visit<kCounts, kTally>(v, words, visited, counts);
         continue;
       }
     }
     v = substrate.neighbor(v, draw(rngs[i], substrate, v));
     toks[i] = v;
-    commit_visit<kCounts>(v, words, visited, counts);
+    commit_visit<kCounts, kTally>(v, words, visited, counts);
   }
 }
 
@@ -274,7 +284,7 @@ inline void lane_steps_lane_major(const S& substrate, Draw draw,
 /// next draw reads it. The substrate and the visited count are copied into
 /// locals so they stay in registers whether or not the round is inlined
 /// (through the references they are re-read after every store).
-template <bool kLazy, bool kCounts, class S, class Draw>
+template <bool kLazy, bool kCounts, bool kTally, class S, class Draw>
 inline void lane_round_csr_regular(const S& substrate, Draw draw,
                                    std::uint64_t stride, Vertex* toks,
                                    Rng* rngs, std::size_t k,
@@ -287,7 +297,7 @@ inline void lane_round_csr_regular(const S& substrate, Draw draw,
     Vertex v = toks[i];
     if constexpr (kLazy) {
       if (rngs[i].uniform01() < laziness) {
-        commit_visit<kCounts>(v, words, seen, counts);
+        commit_visit<kCounts, kTally>(v, words, seen, counts);
         continue;
       }
     }
@@ -295,7 +305,7 @@ inline void lane_round_csr_regular(const S& substrate, Draw draw,
     v = sub.arc_target(arc);
     toks[i] = v;
     sub.prefetch_arc(stride * v);  // next round's row, one round early
-    commit_visit<kCounts>(v, words, seen, counts);
+    commit_visit<kCounts, kTally>(v, words, seen, counts);
   }
   visited = seen;
 }
@@ -303,8 +313,8 @@ inline void lane_round_csr_regular(const S& substrate, Draw draw,
 }  // namespace detail
 
 /// Rounds per epoch of the sharded driver: long enough to amortize the
-/// merge (S·n/64 words) and its two barriers, short enough that the serial
-/// replay of the covering epoch stays a small share of a trial.
+/// merge (team·n/64 words) and its two barriers, short enough that the
+/// serial replay of the covering epoch stays a small share of a trial.
 inline constexpr std::uint64_t kShardEpochRounds = 32;
 
 template <class S>
@@ -502,8 +512,8 @@ class WalkEngineT {
 
   /// Resolves the lane ROUND kernel for this substrate — stride-addressed
   /// or staged-pipeline CSR round, fused direct round otherwise — and
-  /// hands it to `body` as a nullary callable.
-  template <bool kLazy, bool kCounts, class Body>
+  /// hands it to `body` as a nullary callable. kTally as in commit_visit.
+  template <bool kLazy, bool kCounts, bool kTally, class Body>
   auto with_lane_round(const S& substrate, Vertex* toks, Rng* rngs,
                        std::size_t k, double laziness, std::uint64_t* words,
                        Vertex& visited, std::uint64_t* counts, Body&& body) {
@@ -517,23 +527,23 @@ class WalkEngineT {
         return with_hoisted_draw(
             static_cast<std::uint32_t>(stride), [&](auto draw) {
               return body([&, draw] {
-                detail::lane_round_csr_regular<kLazy, kCounts>(
+                detail::lane_round_csr_regular<kLazy, kCounts, kTally>(
                     substrate, draw, stride, toks, rngs, k, laziness, words,
                     visited, counts);
               });
             });
       }
       return body([&] {
-        detail::lane_round_csr<kLazy, kCounts>(substrate, toks, rngs, k,
-                                               laziness, words, visited,
-                                               counts);
+        detail::lane_round_csr<kLazy, kCounts, kTally>(substrate, toks, rngs,
+                                                       k, laziness, words,
+                                                       visited, counts);
       });
     } else {
       return with_lane_draw(substrate, [&](auto draw) {
         return body([&, draw] {
-          detail::lane_round_direct<kLazy, kCounts>(substrate, draw, toks,
-                                                    rngs, k, laziness, words,
-                                                    visited, counts);
+          detail::lane_round_direct<kLazy, kCounts, kTally>(
+              substrate, draw, toks, rngs, k, laziness, words, visited,
+              counts);
         });
       });
     }
@@ -546,11 +556,14 @@ class WalkEngineT {
   // function of the CoverOptions plan (never of the pool size), so the
   // schedule assigns the SAME lanes the SAME streams for every thread
   // count. Rounds run in epochs of kShardEpochRounds: every shard advances
-  // its lanes through the whole epoch with the serial lane kernels into its
-  // private ShardedVisitTracker bitmap, the team merges once, and every
-  // worker replicates the one cover decision from barrier-protected
-  // partials. An epoch that crosses the target is replayed serially from
-  // its saved start, which yields the exact crossing round and end state.
+  // its lanes through the whole epoch with the serial lane kernels, marking
+  // visits untallied (commit_visit's kTally = false) into the bitmap its
+  // executor owns in the ShardedVisitTracker; the team merges once, and
+  // every worker replicates the one cover decision from barrier-protected
+  // partials. Which bitmap holds a visit never shows in a result: the
+  // merged union is the same set however the bitmaps split it. An epoch
+  // that crosses the target is replayed serially from its saved start,
+  // which yields the exact crossing round and end state.
 
   /// First lane of shard s when k lanes split into `shards` blocks.
   static std::size_t shard_lane_begin(std::size_t k, unsigned shards,
@@ -577,11 +590,11 @@ class WalkEngineT {
     return static_cast<unsigned>(std::min<std::size_t>(shards, k));
   }
 
-  ShardedVisitTracker& ensure_sharded_scratch(unsigned shards) {
+  ShardedVisitTracker& ensure_sharded_scratch(unsigned team) {
     if (sharded_scratch_ == nullptr ||
-        sharded_scratch_->num_shards() != shards) {
+        sharded_scratch_->num_executors() != team) {
       sharded_scratch_ =
-          std::make_unique<ShardedVisitTracker>(num_vertices_, shards);
+          std::make_unique<ShardedVisitTracker>(num_vertices_, team);
     }
     return *sharded_scratch_;
   }
@@ -589,25 +602,15 @@ class WalkEngineT {
   /// The team is the caller plus pool workers, pinned to contiguous shard
   /// blocks via parallel_for_static, and never larger than the shard count
   /// or the core count (spinning executors beyond the cores only steal
-  /// time from each other). The first worker exception is rethrown after
+  /// time from each other). Each executor walks its shards one after the
+  /// other into the one bitmap it owns, so the merge reads team bitmaps,
+  /// not one per shard. The first worker exception is rethrown after
   /// the join (the barrier is poisoned on failure so the rest of the team
   /// exits instead of deadlocking).
   template <bool kLazy>
   CoverSample run_until_visited_sharded(Vertex target,
                                         const CoverOptions& options,
                                         unsigned shards) {
-    ShardedVisitTracker& trk = ensure_sharded_scratch(shards);
-    trk.reset(tracker_.words());
-
-    const S substrate = substrate_;
-    Vertex* const toks = tokens_.data();
-    Rng* const rngs = lane_rngs_.data();
-    const std::size_t k = tokens_.size();
-    const double laziness = options.laziness;
-    const std::size_t wps = trk.words_per_shard();
-    epoch_tokens_.resize(k);
-    epoch_rngs_.resize(k);
-
     ThreadPool* const pool = options.shard_pool;
     static const unsigned cores =
         std::max(1u, std::thread::hardware_concurrency());
@@ -615,6 +618,17 @@ class WalkEngineT {
         pool == nullptr ? 1u
                         : static_cast<unsigned>(std::min<std::uint64_t>(
                               {pool->size() + 1, shards, cores}));
+    ShardedVisitTracker& trk = ensure_sharded_scratch(team);
+    trk.reset(tracker_.words());
+
+    const S substrate = substrate_;
+    Vertex* const toks = tokens_.data();
+    Rng* const rngs = lane_rngs_.data();
+    const std::size_t k = tokens_.size();
+    const double laziness = options.laziness;
+    const std::size_t wps = trk.words_per_bitmap();
+    epoch_tokens_.resize(k);
+    epoch_rngs_.resize(k);
 
     SpinBarrier barrier(team);
     std::vector<Vertex> partials(team, 0);
@@ -639,6 +653,8 @@ class WalkEngineT {
         const std::size_t own_end = shard_lane_begin(k, shards, shard_end);
         const std::size_t word_begin = w * wps / team;
         const std::size_t word_end = (w + 1) * wps / team;
+        std::uint64_t* const words =
+            trk.executor_words(static_cast<unsigned>(w));
 
         // Replicated control: every branch below depends only on
         // worker-local state and partials that are final at the preceding
@@ -669,11 +685,11 @@ class WalkEngineT {
           for (unsigned s = shard_begin; s < shard_end; ++s) {
             const std::size_t lane_begin = shard_lane_begin(k, shards, s);
             const std::size_t lane_end = shard_lane_begin(k, shards, s + 1);
-            Vertex new_to_shard = 0;  // the union count comes from the merge
-            with_lane_round<kLazy, false>(
+            Vertex untallied = 0;  // the union count comes from the merge
+            with_lane_round<kLazy, false, false>(
                 substrate, toks + lane_begin, rngs + lane_begin,
-                lane_end - lane_begin, laziness, trk.shard_words(s),
-                new_to_shard, nullptr, [&](auto&& round) {
+                lane_end - lane_begin, laziness, words, untallied, nullptr,
+                [&](auto&& round) {
                   for (std::uint64_t r = 0; r < rounds; ++r) round();
                 });
           }
@@ -747,7 +763,7 @@ class WalkEngineT {
     const double laziness = options.laziness;
     Vertex visited = tracker_.num_visited();
 
-    return with_lane_round<kLazy, false>(
+    return with_lane_round<kLazy, false, true>(
         substrate, toks, rngs, k, laziness, words, visited, nullptr,
         [&](auto&& round) {
           CoverSample sample;
@@ -780,7 +796,7 @@ class WalkEngineT {
     Vertex visited = tracker_.num_visited();
 
     if constexpr (ArcAddressableSubstrate<S>) {
-      with_lane_round<kLazy, kCounts>(
+      with_lane_round<kLazy, kCounts, true>(
           substrate, toks, rngs, k, laziness, words, visited, visit_counts,
           [&](auto&& round) {
             for (std::uint64_t t = 0; t < rounds; ++t) round();
@@ -804,9 +820,9 @@ class WalkEngineT {
   LaneRngs lane_rngs_;
   bool lanes_seeded_ = false;
   // Sharded-run scratch, cached across trials (a Monte-Carlo estimate
-  // reruns the same (n, shards) thousands of times; reset() is an O(S·n/64)
-  // fill, reallocation is not), plus each epoch's starting tokens and lane
-  // streams for the replay of the covering epoch.
+  // reruns the same (n, team) thousands of times; reset() is an
+  // O(team·n/64) fill, reallocation is not), plus each epoch's starting
+  // tokens and lane streams for the replay of the covering epoch.
   std::unique_ptr<ShardedVisitTracker> sharded_scratch_;
   std::vector<Vertex> epoch_tokens_;
   std::vector<Rng> epoch_rngs_;

@@ -1,5 +1,5 @@
 // Visited-set scratch of the walk engines: one bit per vertex, plus the
-// per-shard bitmaps of the sharded epoch driver.
+// per-executor bitmaps of the sharded epoch driver.
 #pragma once
 
 #include <algorithm>
@@ -64,49 +64,52 @@ class WordVisitTracker {
   Vertex num_visited_ = 0;
 };
 
-/// Per-shard word bitmaps plus a ping-pong pair of union buffers: the
+/// Per-executor word bitmaps plus a ping-pong pair of union buffers: the
 /// visited-set scratch of the sharded epoch driver (determinism contract
-/// v3, docs/ARCHITECTURE.md). Each lane shard commits visits into its own
-/// private bitmap (reusing the serial lane kernels unchanged — a shard's
-/// words pointer is bit-compatible with WordVisitTracker's), so an epoch
-/// of rounds shares no mutable state between shards. Shard bitmaps are
-/// cumulative over a run; a bit in one means "new to that shard" only.
+/// v3, docs/ARCHITECTURE.md). Each executor of the worker team owns one
+/// bitmap and commits the visits of all its lane shards into it (reusing
+/// the serial lane kernels — a bitmap's words pointer is bit-compatible
+/// with WordVisitTracker's), so an epoch of rounds shares no mutable state
+/// between executors. Bitmaps are cumulative over a run; a bit in one means
+/// "new to that executor" only, and no per-bitmap count is kept.
 ///
 /// After each epoch, merge_range(from, ...) writes
-/// `union[from ^ 1] = union[from] | OR_s shard[s]` over a word range and
+/// `union[from ^ 1] = union[from] | OR_e bitmap[e]` over a word range and
 /// returns its popcount. Disjoint ranges may run concurrently, and the
 /// full-range sum of the returns is the exact union size. The source
 /// buffer is left intact, so if the epoch crossed the cover target the
 /// caller still holds the visited set as of the epoch's start.
 ///
-/// union(0) is also the seed channel: seed() preloads the engine's pre-run
+/// union(0) is also the seed channel: reset() preloads the engine's pre-run
 /// visited set (the starts, or earlier chunked runs).
 class ShardedVisitTracker {
  public:
-  ShardedVisitTracker(Vertex num_vertices, unsigned num_shards)
-      : words_per_shard_((static_cast<std::size_t>(num_vertices) + 63) / 64),
-        num_shards_(num_shards),
-        shard_words_(words_per_shard_ * num_shards),
-        unions_(2 * words_per_shard_) {}
+  ShardedVisitTracker(Vertex num_vertices, unsigned num_executors)
+      : words_per_bitmap_((static_cast<std::size_t>(num_vertices) + 63) / 64),
+        num_executors_(num_executors),
+        executor_words_(words_per_bitmap_ * num_executors),
+        unions_(2 * words_per_bitmap_) {}
 
-  /// Clears every shard bitmap and preloads union(0) with `words`.
+  /// Clears every executor bitmap and preloads union(0) with `words`.
   void reset(const std::uint64_t* words) {
-    std::fill(shard_words_.begin(), shard_words_.end(), 0);
-    std::copy(words, words + words_per_shard_, unions_.begin());
+    std::fill(executor_words_.begin(), executor_words_.end(), 0);
+    std::copy(words, words + words_per_bitmap_, unions_.begin());
   }
 
-  unsigned num_shards() const noexcept { return num_shards_; }
-  std::size_t words_per_shard() const noexcept { return words_per_shard_; }
+  unsigned num_executors() const noexcept { return num_executors_; }
+  std::size_t words_per_bitmap() const noexcept { return words_per_bitmap_; }
 
-  /// Shard s's private bitmap — handed to the lane round kernels as their
-  /// `words` scratch. Only shard s's executor may write it within an epoch.
-  std::uint64_t* shard_words(unsigned s) {
-    return shard_words_.data() + static_cast<std::size_t>(s) * words_per_shard_;
+  /// Executor e's bitmap — handed to the lane round kernels of every shard
+  /// e runs as their `words` scratch. Only executor e may write it within
+  /// an epoch.
+  std::uint64_t* executor_words(unsigned e) {
+    return executor_words_.data() +
+           static_cast<std::size_t>(e) * words_per_bitmap_;
   }
 
-  /// Commits v into shard s; true iff the bit was new TO THAT SHARD.
-  bool visit(unsigned s, Vertex v) {
-    std::uint64_t& word = shard_words(s)[v >> 6];
+  /// Commits v into executor e's bitmap; true iff the bit was new TO IT.
+  bool visit(unsigned e, Vertex v) {
+    std::uint64_t& word = executor_words(e)[v >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (v & 63);
     if ((word & bit) != 0) return false;
     word |= bit;
@@ -115,21 +118,21 @@ class ShardedVisitTracker {
 
   /// Union buffer `which` (0 or 1).
   const std::uint64_t* union_words(unsigned which) const noexcept {
-    return unions_.data() + static_cast<std::size_t>(which) * words_per_shard_;
+    return unions_.data() + static_cast<std::size_t>(which) * words_per_bitmap_;
   }
 
-  /// ORs union(from) and every shard's words in [word_begin, word_end)
+  /// ORs union(from) and every executor's words in [word_begin, word_end)
   /// into union(from ^ 1) and returns the popcount of that range.
   Vertex merge_range(unsigned from, std::size_t word_begin,
                      std::size_t word_end) {
     const std::uint64_t* const before = union_words(from);
     std::uint64_t* const after =
-        unions_.data() + static_cast<std::size_t>(from ^ 1) * words_per_shard_;
+        unions_.data() + static_cast<std::size_t>(from ^ 1) * words_per_bitmap_;
     Vertex count = 0;
     for (std::size_t w = word_begin; w < word_end; ++w) {
       std::uint64_t word = before[w];
-      for (unsigned s = 0; s < num_shards_; ++s) {
-        word |= shard_words(s)[w];
+      for (unsigned e = 0; e < num_executors_; ++e) {
+        word |= executor_words(e)[w];
       }
       after[w] = word;
       count += static_cast<Vertex>(std::popcount(word));
@@ -138,9 +141,9 @@ class ShardedVisitTracker {
   }
 
  private:
-  std::size_t words_per_shard_;
-  unsigned num_shards_;
-  std::vector<std::uint64_t> shard_words_;
+  std::size_t words_per_bitmap_;
+  unsigned num_executors_;
+  std::vector<std::uint64_t> executor_words_;
   std::vector<std::uint64_t> unions_;
 };
 

@@ -442,8 +442,11 @@ TEST(CoverSamplers, InterleavedGraphsStayDeterministic) {
 TEST(WalkEngine, ShardCountAndThreadCountAreInvisible) {
   // Determinism contract v3: for a fixed seed, the sharded round driver
   // must be BIT-identical to the serial lane path — same steps, same
-  // visited count, same visited set — for every shard count, with and
-  // without a worker team.
+  // visited count, same visited set, same tokens — for every shard count,
+  // with and without a worker team. The sharded rounds mark visits
+  // untallied into one bitmap per executor: laziness 0.5 sends the
+  // stay-put commits down that path too, and 16 shards on a 1- or 3-worker
+  // pool put several shards on one executor's bitmap.
   constexpr std::uint64_t kMasterSeed = 0xc3ULL;
   ThreadPool pool1(1);
   ThreadPool pool3(3);
@@ -452,26 +455,35 @@ TEST(WalkEngine, ShardCountAndThreadCountAreInvisible) {
     WalkEngine sharded(g);
     const std::vector<Vertex> starts(16, 0);
     const auto target = static_cast<Vertex>(g.num_vertices());
-    for (std::uint64_t trial = 0; trial < 8; ++trial) {
-      Rng ref_rng = make_trial_rng(kMasterSeed, trial);
-      serial.reset(starts);
-      const CoverSample expected = serial.run_until_visited(target, ref_rng);
-      for (const unsigned shards : {1u, 2u, 8u}) {
-        for (ThreadPool* pool : {(ThreadPool*)nullptr, &pool1, &pool3}) {
-          CoverOptions opt;
-          opt.lane_shards = shards;
-          opt.shard_pool = pool;
-          Rng rng = make_trial_rng(kMasterSeed, trial);
-          sharded.reset(starts);
-          const CoverSample actual = sharded.run_until_visited(target, rng, opt);
-          ASSERT_EQ(expected.steps, actual.steps)
-              << name << " trial=" << trial << " shards=" << shards
-              << " pool=" << (pool != nullptr);
-          ASSERT_EQ(expected.covered, actual.covered) << name;
-          ASSERT_EQ(serial.num_visited(), sharded.num_visited()) << name;
-          for (Vertex v = 0; v < g.num_vertices(); ++v) {
-            ASSERT_EQ(serial.visited(v), sharded.visited(v))
-                << name << " v=" << v << " shards=" << shards;
+    for (const double laziness : {0.0, 0.5}) {
+      CoverOptions serial_opt;
+      serial_opt.laziness = laziness;
+      for (std::uint64_t trial = 0; trial < 8; ++trial) {
+        Rng ref_rng = make_trial_rng(kMasterSeed, trial);
+        serial.reset(starts);
+        const CoverSample expected =
+            serial.run_until_visited(target, ref_rng, serial_opt);
+        for (const unsigned shards : {1u, 2u, 8u, 16u}) {
+          for (ThreadPool* pool : {(ThreadPool*)nullptr, &pool1, &pool3}) {
+            CoverOptions opt = serial_opt;
+            opt.lane_shards = shards;
+            opt.shard_pool = pool;
+            Rng rng = make_trial_rng(kMasterSeed, trial);
+            sharded.reset(starts);
+            const CoverSample actual =
+                sharded.run_until_visited(target, rng, opt);
+            ASSERT_EQ(expected.steps, actual.steps)
+                << name << " trial=" << trial << " shards=" << shards
+                << " pool=" << (pool != nullptr) << " laziness=" << laziness;
+            ASSERT_EQ(expected.covered, actual.covered) << name;
+            ASSERT_EQ(serial.num_visited(), sharded.num_visited()) << name;
+            for (Vertex v = 0; v < g.num_vertices(); ++v) {
+              ASSERT_EQ(serial.visited(v), sharded.visited(v))
+                  << name << " v=" << v << " shards=" << shards;
+            }
+            ASSERT_TRUE(std::ranges::equal(serial.tokens(), sharded.tokens()))
+                << name << " trial=" << trial << " shards=" << shards
+                << " laziness=" << laziness;
           }
         }
       }

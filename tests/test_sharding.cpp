@@ -1,25 +1,29 @@
 // Units for the lane-sharded execution layer (determinism contract v3,
-// docs/ARCHITECTURE.md): ShardedVisitTracker, the epoch barrier, the
-// static team partitioner, and the thread-budget policy. End-to-end
-// shard/thread invariance of the engine itself lives in
+// docs/ARCHITECTURE.md): ShardedVisitTracker, the epoch barrier, a worker
+// failing mid-epoch, the static team partitioner, and the thread-budget
+// policy. End-to-end shard/thread invariance of the engine itself lives in
 // tests/test_engine.cpp.
 #include "walk/visit_tracker.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "graph/substrate.hpp"
 #include "mc/monte_carlo.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "walk/cover_types.hpp"
+#include "walk/engine.hpp"
 
 namespace manywalks {
 namespace {
@@ -31,23 +35,24 @@ bool bit_set(const std::uint64_t* words, Vertex v) {
   return ((words[v >> 6] >> (v & 63)) & 1) != 0;
 }
 
-TEST(ShardedVisitTracker, VisitIsPerShardExact) {
+TEST(ShardedVisitTracker, VisitIsPerExecutorExact) {
   ShardedVisitTracker trk(128, 3);
+  EXPECT_EQ(trk.num_executors(), 3u);
   EXPECT_TRUE(trk.visit(0, 5));
-  EXPECT_FALSE(trk.visit(0, 5));  // repeat within a shard: not new
-  EXPECT_TRUE(trk.visit(1, 5));   // same vertex, other shard: new TO IT
+  EXPECT_FALSE(trk.visit(0, 5));  // repeat within an executor: not new
+  EXPECT_TRUE(trk.visit(1, 5));   // same vertex, other executor: new TO IT
   EXPECT_TRUE(trk.visit(1, 64));
-  EXPECT_TRUE(bit_set(trk.shard_words(0), 5));
-  EXPECT_FALSE(bit_set(trk.shard_words(0), 64));
-  EXPECT_TRUE(bit_set(trk.shard_words(1), 64));
-  EXPECT_FALSE(bit_set(trk.shard_words(2), 5));
+  EXPECT_TRUE(bit_set(trk.executor_words(0), 5));
+  EXPECT_FALSE(bit_set(trk.executor_words(0), 64));
+  EXPECT_TRUE(bit_set(trk.executor_words(1), 64));
+  EXPECT_FALSE(bit_set(trk.executor_words(2), 5));
 }
 
 TEST(ShardedVisitTracker, MergeCountsUnionNotSum) {
   const std::vector<std::uint64_t> empty(4, 0);
   ShardedVisitTracker trk(256, 4);
   trk.reset(empty.data());
-  // Overlapping visit sets: shard s marks multiples of s+1 below 100.
+  // Overlapping visit sets: executor e marks multiples of e+1 below 100.
   std::set<Vertex> expected;
   for (unsigned s = 0; s < 4; ++s) {
     for (Vertex v = 0; v < 100; v += s + 1) {
@@ -76,7 +81,7 @@ TEST(ShardedVisitTracker, RangeMergePartialsSumToExactCount) {
     trk.visit(i % 2 == 0 ? 0u : 1u, v);
     expected.insert(v);
   }
-  const std::size_t wps = trk.words_per_shard();
+  const std::size_t wps = trk.words_per_bitmap();
   std::uint64_t total = 0;
   // Three deliberately uneven ranges tile [0, wps).
   total += trk.merge_range(0, 0, wps / 3);
@@ -111,13 +116,13 @@ TEST(ShardedVisitTracker, PingPongMergeKeepsTheEpochStartUnion) {
   unsigned from = 0;
   for (int epoch = 0; epoch < 6; ++epoch) {
     const std::vector<std::uint64_t> before(
-        trk.union_words(from), trk.union_words(from) + trk.words_per_shard());
+        trk.union_words(from), trk.union_words(from) + trk.words_per_bitmap());
     for (int i = 0; i < 40; ++i) {
       const auto v = static_cast<Vertex>(rng.uniform_below_wide(n));
       trk.visit(static_cast<unsigned>(i % 3), v);
       expected.insert(v);
     }
-    const std::size_t wps = trk.words_per_shard();
+    const std::size_t wps = trk.words_per_bitmap();
     std::uint64_t total = 0;
     for (const auto& [b, e] : {std::pair<std::size_t, std::size_t>{0, 4},
                                {4, 5}, {5, wps}}) {
@@ -143,7 +148,7 @@ TEST(ShardedVisitTracker, ResetClearsEverything) {
   trk.visit(1, 2);
   trk.merge_range(0, 0, 2);
   trk.reset(empty.data());
-  EXPECT_TRUE(trk.visit(0, 1));  // the shard bitmaps were cleared
+  EXPECT_TRUE(trk.visit(0, 1));  // the executor bitmaps were cleared
   EXPECT_TRUE(trk.visit(1, 2));
   trk.reset(empty.data());
   EXPECT_EQ(trk.merge_range(0, 0, 2), 0u);
@@ -192,6 +197,97 @@ TEST(SpinBarrier, PoisonReleasesWaiters) {
   EXPECT_EQ(released.load(), 1);
   // Poison is sticky: later arrivals fail immediately.
   EXPECT_FALSE(barrier.arrive_and_wait());
+}
+
+// --- a worker failing mid-epoch ---------------------------------------------
+
+/// Shared by every copy of a FaultyCycle (the engine copies its substrate
+/// into each executor's registers): neighbor() throws once, on the call
+/// that makes the pool workers' neighbor() calls reach `throw_at`.
+struct InjectedFault {
+  std::thread::id caller;
+  std::uint64_t throw_at = 0;
+  std::atomic<std::uint64_t> worker_calls{0};
+  std::atomic<bool> armed{true};
+};
+
+/// CycleSubstrate with a fault wired into neighbor(). It advertises no
+/// uniform degree, so the engine draws through the per-vertex policy,
+/// which consumes exactly the draws of the cycle's hoisted mask.
+class FaultyCycle {
+ public:
+  FaultyCycle(Vertex n, InjectedFault* fault) : cycle_(n), fault_(fault) {}
+
+  Vertex num_vertices() const noexcept { return cycle_.num_vertices(); }
+  Vertex degree(Vertex v) const noexcept { return cycle_.degree(v); }
+  Vertex neighbor(Vertex v, Vertex i) const {
+    if (fault_->armed.load(std::memory_order_relaxed) &&
+        std::this_thread::get_id() != fault_->caller &&
+        fault_->worker_calls.fetch_add(1, std::memory_order_relaxed) + 1 ==
+            fault_->throw_at) {
+      fault_->armed.store(false, std::memory_order_relaxed);
+      throw std::runtime_error("injected neighbor() fault");
+    }
+    return cycle_.neighbor(v, i);
+  }
+  bool operator==(const FaultyCycle&) const = default;
+
+ private:
+  CycleSubstrate cycle_;
+  InjectedFault* fault_;
+};
+
+TEST(ShardedFailure, WorkerThrowMidEpochRethrowsOnTheCaller) {
+  // A pool worker's shard throws in the middle of the second or third
+  // epoch. The team must not deadlock on the barrier (the CTest TIMEOUT
+  // catches a hang), the caller must get that exception instead of a
+  // sample, and after reset() the same engine must reproduce the serial
+  // run exactly.
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "one core: the team is the caller alone";
+  }
+  const Vertex n = 4096;
+  std::vector<Vertex> starts;
+  for (Vertex i = 0; i < 64; ++i) starts.push_back(i * 64);
+  const Vertex target = n;
+  InjectedFault fault;
+  fault.caller = std::this_thread::get_id();
+  // The workers walk at least one shard of 16 lanes, 32 rounds an epoch:
+  // 2300 of their calls fall past the first epoch and far before cover.
+  fault.throw_at = 2300;
+  WalkEngineT<FaultyCycle> engine(FaultyCycle(n, &fault));
+  ThreadPool pool(3);
+  CoverOptions opt;
+  opt.lane_shards = 4;
+  opt.shard_pool = &pool;
+
+  engine.reset(starts);
+  Rng rng = make_trial_rng(0xfa17ULL, 0);
+  bool returned = false;
+  try {
+    (void)engine.run_until_visited(target, rng, opt);
+    returned = true;
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()), "injected neighbor() fault");
+  }
+  EXPECT_FALSE(returned) << "a sample came back from a failed team";
+  EXPECT_FALSE(fault.armed.load());
+
+  WalkEngineT<CycleSubstrate> serial{CycleSubstrate(n)};
+  serial.reset(starts);
+  Rng ref_rng = make_trial_rng(0xfa17ULL, 0);
+  const CoverSample expected = serial.run_until_visited(target, ref_rng);
+  engine.reset(starts);
+  Rng again = make_trial_rng(0xfa17ULL, 0);
+  const CoverSample actual = engine.run_until_visited(target, again, opt);
+  EXPECT_EQ(expected.steps, actual.steps);
+  EXPECT_EQ(expected.covered, actual.covered);
+  EXPECT_EQ(serial.num_visited(), engine.num_visited());
+  for (Vertex v = 0; v < n; ++v) {
+    ASSERT_EQ(serial.visited(v), engine.visited(v)) << "v=" << v;
+  }
+  EXPECT_TRUE(std::ranges::equal(serial.tokens(), engine.tokens()));
+  EXPECT_EQ(ref_rng.next(), again.next());
 }
 
 // --- parallel_for_static ----------------------------------------------------

@@ -282,6 +282,26 @@ TEST(MwgIoErrors, FullDeviceWriteThrowsCleanIoError) {
   }
 }
 
+// The writer checks the stream after every row: on a full device the
+// first refused buffer flush throws from append_row, long before finish().
+TEST(MwgIoErrors, FullDeviceFailsAtTheFirstRefusedRow) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << full << " is absent";
+  const Graph g = make_cycle(1 << 16);  // 512 KiB of targets: many flushes
+  MwgWriter writer(full, g.num_vertices());
+  try {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      writer.append_row(g.neighbors(v));
+    }
+    FAIL() << "expected MwgIoError from append_row";
+  } catch (const MwgIoError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(full), std::string::npos) << what;
+    EXPECT_EQ(what.find("requirement violated"), std::string::npos) << what;
+  }
+  EXPECT_LT(writer.rows_appended(), writer.num_vertices());
+}
+
 // MwgIoError still lands in generic std::exception handlers (it must never
 // bypass the CLI's catch).
 TEST(MwgIoErrors, IsARuntimeError) {

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Fails when a lane round kernel that must be inlined is its own symbol.
+
+The walk engine (src/walk/engine.hpp) depends on two round kernels being
+inlined into the loops that drive them: the non-lazy stride round
+`lane_round_csr_regular<false, false, ...>` and the fused direct round
+`lane_round_direct`. Compiled out of line, either one turns every round
+into a call, which at small k costs about as much as the round itself.
+GCC's inlining choices move with the size of engine.cpp, so this check
+reads the symbols (`nm -C --defined-only`) and fails loudly when one of
+those kernels shows up as a function of its own.
+
+Check the whole library archive, not engine.cpp.o alone: the engine's
+members are inline, so every source file that runs an engine (cover.cpp,
+for one) emits its own weak copy of the drivers, and the linker keeps
+whichever copy it meets first, often not engine.cpp's.
+
+Usage:
+    python3 tools/check_inlining.py [archive, object or binary ...]
+
+The default is the library archive of a top-level `cmake -B build` build.
+"""
+
+import subprocess
+import sys
+
+DEFAULT_PATHS = ["build/libmanywalks.a"]
+
+# Demangled-name prefixes of the kernels that must never be out of line.
+MUST_INLINE = (
+    "manywalks::detail::lane_round_csr_regular<false, false, ",
+    "manywalks::detail::lane_round_direct<",
+)
+
+# A driver the inputs must define, so a wrong or empty file cannot pass
+# the check vacuously.
+EXPECTED_DRIVER = "::run_until_visited_lane<false>("
+
+
+def defined_symbols(path):
+    result = subprocess.run(["nm", "-C", "--defined-only", path],
+                            capture_output=True, text=True)
+    if result.returncode != 0:
+        sys.exit(f"check_inlining: nm failed on {path}: {result.stderr.strip()}")
+    names = []
+    for line in result.stdout.splitlines():
+        parts = line.split(" ", 2)
+        if len(parts) == 3:
+            names.append(parts[2])
+    return names
+
+
+def out_of_line_kernels(names):
+    """The names (with any " [clone ...]" suffix) of must-inline kernels."""
+    return [name for name in names
+            if any(name.startswith(prefix) or f" {prefix}" in name
+                   for prefix in MUST_INLINE)]
+
+
+def main(argv):
+    paths = argv[1:] or DEFAULT_PATHS
+    names = [name for path in paths for name in defined_symbols(path)]
+    where = " ".join(paths)
+    if not any(EXPECTED_DRIVER in name for name in names):
+        sys.exit(f"check_inlining: {where} defines no run_until_visited_lane "
+                 "driver; is it the manywalks library?")
+    found = out_of_line_kernels(names)
+    if found:
+        print(f"check_inlining: {where}: round kernels compiled out of line "
+              "(each is now a call per round; see the inlining note above "
+              "commit_visit in src/walk/engine.hpp):", file=sys.stderr)
+        for name in found:
+            print(f"  {name}", file=sys.stderr)
+        return 1
+    print(f"check_inlining: {where}: stride and direct round kernels inlined")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
