@@ -6,21 +6,25 @@
 // on a laptop).
 //
 // The binary has its own main: before running benchmarks it
-//   1. verifies that the BENCH_4 baseline (SharedStreamWalk, the scalar
-//      shared-stream round loop) samples the SAME cover times, trial by
-//      trial and draw by draw, as the seed per-call path under
+//   1. always verifies that the BENCH_4 baseline (SharedStreamWalk, the
+//      scalar shared-stream round loop) samples the SAME cover times,
+//      trial by trial and draw by draw, as the seed per-call path under
 //      make_trial_rng streams — so the baseline is the real walk;
-//   2. measures the lane engine against that baseline in steps/s per
-//      family x k and writes the machine-readable BENCH_4.json perf
-//      artifact (--bench4_out=PATH, schema "manywalks-bench4-v1",
-//      documented in docs/ARCHITECTURE.md); with --lane_guard it exits
-//      nonzero if the lane engine regresses below the baseline on any
-//      family (the CI perf-smoke anti-regression gate);
-//   3. measures the observability layer's cost (BENCH_obs.json, schema
-//      "manywalks-obs-v1"): lane steps/s with a MetricsRegistry installed
-//      vs observability off, counting contract checked exactly; with
-//      --obs_guard it exits nonzero if metrics-on drops below 97% of
-//      metrics-off steps/s on every k of any family.
+//   2. with --lane_guard or --bench4_out=PATH, prints the paired seed-path
+//      vs engine throughput and measures the lane engine against that
+//      baseline in steps/s per family x k (BENCH_4.json, schema
+//      "manywalks-bench4-v1", documented in docs/ARCHITECTURE.md);
+//      --lane_guard fails the run if the lane engine regresses below the
+//      baseline on any family (the CI perf-smoke anti-regression gate);
+//   3. with --scale_guard or --scale_out=PATH, measures one sharded cover
+//      run's strong scaling (BENCH_scale.json, "manywalks-scale-v1");
+//   4. with --obs_guard or --obs_out=PATH, measures the observability
+//      layer's cost (BENCH_obs.json, "manywalks-obs-v1"): lane steps/s
+//      with a MetricsRegistry installed vs observability off, counting
+//      contract checked exactly; --obs_guard fails the run if metrics-on
+//      drops below 97% of metrics-off steps/s on every k of any family.
+// Every requested guard runs and prints its verdict, the benchmarks run
+// after them, and the exit code is nonzero if any guard failed.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -959,10 +963,12 @@ bool obs_results_pass(const std::vector<ObsRow>& rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip our flags before google-benchmark sees the command line.
-  std::string bench4_out = "BENCH_4.json";
-  std::string scale_out = "BENCH_scale.json";
-  std::string obs_out = "BENCH_obs.json";
+  // Strip our flags before google-benchmark sees the command line. A
+  // table is measured only when its guard or its output path asks for it
+  // (empty path: not written).
+  std::string bench4_out;
+  std::string scale_out;
+  std::string obs_out;
   bool lane_guard = false;
   bool scale_guard = false;
   bool obs_guard = false;
@@ -992,21 +998,31 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return EXIT_FAILURE;
 
   if (!verify_identical_samples()) return EXIT_FAILURE;
-  report_paired_throughput();
-  const std::vector<Bench4Row> bench4 = run_bench4();
-  write_bench4_json(bench4, bench4_out);
-  if (lane_guard && !lane_guard_passes(bench4)) return EXIT_FAILURE;
-  const std::vector<ScaleRow> scale = run_scale();
-  write_scale_json(scale, scale_out);
-  if (!scale_results_pass(scale, scale_guard)) return EXIT_FAILURE;
-  obs::MetricsRegistry obs_registry;
-  std::uint64_t expected_on_steps = 0;
-  const std::vector<ObsRow> obs_rows = run_obs(obs_registry, expected_on_steps);
-  write_obs_json(obs_rows, obs_out);
-  if (!obs_results_pass(obs_rows, obs_registry, expected_on_steps, obs_guard)) {
-    return EXIT_FAILURE;
+  // Every requested table runs and every guard prints its verdict, so one
+  // failure does not hide the others; the exit code reports them all.
+  bool ok = true;
+  if (lane_guard || !bench4_out.empty()) {
+    report_paired_throughput();
+    const std::vector<Bench4Row> bench4 = run_bench4();
+    if (!bench4_out.empty()) write_bench4_json(bench4, bench4_out);
+    if (lane_guard) ok = lane_guard_passes(bench4) && ok;
+  }
+  if (scale_guard || !scale_out.empty()) {
+    const std::vector<ScaleRow> scale = run_scale();
+    if (!scale_out.empty()) write_scale_json(scale, scale_out);
+    ok = scale_results_pass(scale, scale_guard) && ok;
+  }
+  if (obs_guard || !obs_out.empty()) {
+    obs::MetricsRegistry obs_registry;
+    std::uint64_t expected_on_steps = 0;
+    const std::vector<ObsRow> obs_rows =
+        run_obs(obs_registry, expected_on_steps);
+    if (!obs_out.empty()) write_obs_json(obs_rows, obs_out);
+    ok = obs_results_pass(obs_rows, obs_registry, expected_on_steps,
+                          obs_guard) &&
+         ok;
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return EXIT_SUCCESS;
+  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }

@@ -28,19 +28,24 @@ bool has_extra(const ExperimentInfo& info, ExtraParam extra) {
          info.extras.end();
 }
 
-/// Fills ExperimentResult::manifest for `--metrics`: timings, resolved
-/// parallelism, then the full metric snapshot (stable enum-then-
-/// registration order, zeros included, so two runs produce comparable
-/// key sets).
+/// Fills ExperimentResult::manifest for `--metrics`: timings, the trial
+/// plan the runner echoed (if any), then the full metric snapshot (stable
+/// enum-then-registration order, zeros included, so two runs produce
+/// comparable key sets).
 void fill_manifest(ExperimentResult& result,
                    const obs::MetricsRegistry& registry, double wall_seconds,
-                   double cpu_seconds, unsigned lane_shards,
-                   std::size_t pool_threads) {
+                   double cpu_seconds, std::size_t pool_threads) {
   auto& manifest = result.manifest;
   manifest.emplace_back("wall_seconds", RealCell{wall_seconds, 4});
   manifest.emplace_back("cpu_seconds", RealCell{cpu_seconds, 4});
   manifest.emplace_back("threads", static_cast<std::uint64_t>(pool_threads));
-  manifest.emplace_back("lane_shards", static_cast<std::uint64_t>(lane_shards));
+  if (const std::optional<TrialPlan>& plan = result.plan) {
+    manifest.emplace_back("parallelism",
+                          std::string(parallelism_name(plan->mode)));
+    manifest.emplace_back("lane_shards",
+                          static_cast<std::uint64_t>(plan->lane_shards));
+    manifest.emplace_back("team", static_cast<std::uint64_t>(plan->team));
+  }
   for (const obs::MetricSnapshot& snap : registry.snapshot()) {
     if (snap.kind == obs::MetricKind::kHistogram) {
       manifest.emplace_back("metrics." + snap.name + ".count", snap.value);
@@ -245,8 +250,7 @@ int run_experiment_main(std::string_view name, int argc, char** argv) {
     if (progress != nullptr) progress->finish();
     if (metrics_flag) {
       fill_manifest(result, registry, result.elapsed_seconds,
-                    obs::process_cpu_seconds() - cpu_start, params.lane_shards,
-                    pool.size());
+                    obs::process_cpu_seconds() - cpu_start, pool.size());
     }
     emit_result(result, sink, std::cout);
     if (trace != nullptr) {

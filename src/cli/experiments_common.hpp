@@ -12,7 +12,6 @@
 #include "cli/registry.hpp"
 #include "mc/monte_carlo.hpp"
 #include "util/check.hpp"
-#include "walk/cover_types.hpp"
 
 namespace manywalks::cli {
 
@@ -76,27 +75,17 @@ inline void push_param(ExperimentResult& result, std::string name,
   result.params.emplace_back(std::move(name), ResultCell{value});
 }
 
-/// Echoes the thread-budget decision for the experiment's headline
-/// (largest-k) estimate: the resolved "parallelism" mode ("trials" or
-/// "lanes") and the "lane_shards" count the sharded engine uses there
-/// (0 = serial lane kernel). Applies the same pure rules as
-/// apply_thread_budget / auto_lane_shards, so the echo matches what the
-/// estimators actually do for that estimate.
-inline void push_parallelism_params(ExperimentResult& result,
-                                    const CoverOptions& cover,
-                                    std::uint64_t max_trials,
-                                    std::size_t lanes, unsigned pool_threads) {
-  const McParallelism mode =
-      cover.lane_shards > 0
-          ? McParallelism::kLanes
-          : choose_parallelism(max_trials, lanes, pool_threads);
-  const unsigned shards =
-      cover.lane_shards > 0
-          ? static_cast<unsigned>(std::min<std::size_t>(
-                cover.lane_shards, std::max<std::size_t>(lanes, 1)))
-          : (mode == McParallelism::kLanes ? auto_lane_shards(lanes) : 0);
-  push_param(result, "parallelism", std::string(parallelism_name(mode)));
-  push_param(result, "lane_shards", static_cast<std::uint64_t>(shards));
+/// Records the trial plan of the experiment's headline (largest-k)
+/// estimate: the "parallelism" mode and, in core, the "lane_shards" count
+/// (0 = serial lane kernel) join the params echo, and the plan itself goes
+/// to the --metrics manifest.
+inline void push_trial_plan(ExperimentResult& result, const TrialPlan& plan) {
+  result.plan = plan;
+  push_param(result, "parallelism", std::string(parallelism_name(plan.mode)));
+  if (plan.mode != McParallelism::kBlocked) {
+    push_param(result, "lane_shards",
+               static_cast<std::uint64_t>(plan.lane_shards));
+  }
 }
 
 /// The shared (seed, full, n, trials, threads) parameter echo.

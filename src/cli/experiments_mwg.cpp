@@ -207,19 +207,6 @@ struct BlockedRun {
 
 // --- the experiment bodies, one per experiment for both walkers ------------
 
-/// Echoes how the trials ran: the thread-budget decision for the headline
-/// estimate in core, "blocked" out of core.
-template <TrialWalker W>
-void push_trial_plan(ExperimentResult& result, const CoverOptions& cover,
-                     std::uint64_t max_trials, std::size_t lanes,
-                     unsigned threads) {
-  if constexpr (Substrate<W>) {
-    push_parallelism_params(result, cover, max_trials, lanes, threads);
-  } else {
-    push_param(result, "parallelism", std::string("blocked"));
-  }
-}
-
 template <TrialWalker W>
 ExperimentResult mwg_speedup(const W& walker, const std::string& source,
                              const ExperimentParams& params, ThreadPool& pool,
@@ -248,7 +235,8 @@ ExperimentResult mwg_speedup(const W& walker, const std::string& source,
   push_param(result, "start", static_cast<std::uint64_t>(start));
   push_param(result, "kmax", k_limit);
   push_param(result, "target", static_cast<std::uint64_t>(target));
-  push_trial_plan<W>(result, cover_run, mc.max_trials, k_limit, pool.size());
+  push_trial_plan(result, plan_trials(walker, ks.back(), mc,
+                                      params.lane_shards, &pool));
   result.tables.push_back(speedup_table(source, start, target, n, curve));
   result.notes = speedup_notes();
   return result;
@@ -269,36 +257,25 @@ ExperimentResult mwg_starts(const W& walker,
       "mwg-starts", std::max<std::uint64_t>(resolve_k(preset, params), 1)));
   const Vertex n = walker.num_vertices();
   const Vertex start = checked_start("mwg-starts", params, n);
-  // The uniform-start run_monte_carlo call below bypasses the estimators,
-  // so the trial plan is made here once (lanes = k for all three
-  // placements); the estimators re-plan identically.
-  CoverOptions cover_run = cover;
-  cover_run.lane_shards = params.lane_shards;
-  McOptions mc = preset_mc(trials);
-  ThreadPool* const trial_pool =
-      plan_cover_trials(walker, k, &pool, mc, cover_run);
+  // One plan for all three placements: each runs k lanes.
+  const McOptions mc = preset_mc(trials);
+  const TrialPlan plan = plan_trials(walker, k, mc, params.lane_shards, &pool);
 
   McOptions same_mc = mc;
   same_mc.seed = mix64(seed ^ 0x3a11ULL);
-  const McResult same =
-      estimate_k_cover_time(walker, start, k, same_mc, cover_run, &pool);
+  const McResult same = run_cover_trials(
+      walker, plan, n, fixed_starts(std::vector<Vertex>(k, start)), same_mc,
+      cover);
 
   McOptions stationary_mc = mc;
   stationary_mc.seed = mix64(seed ^ 0x3a22ULL);
-  const McResult stationary = estimate_stationary_start_cover(
-      walker, offsets, k, stationary_mc, cover_run, &pool);
+  const McResult stationary = run_cover_trials(
+      walker, plan, n, stationary_starts(offsets, k), stationary_mc, cover);
 
   McOptions uniform_mc = mc;
   uniform_mc.seed = mix64(seed ^ 0x3a33ULL);
-  const McResult uniform = run_monte_carlo(
-      [walker, k, cover_run, n](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) s = rng.uniform_below_wide(n);
-        const CoverSample sample =
-            sample_cover_to_target(walker, starts, n, rng, cover_run);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      uniform_mc, trial_pool);
+  const McResult uniform = run_cover_trials(
+      walker, plan, n, uniform_starts(n, k), uniform_mc, cover);
 
   ExperimentResult result;
   push_common_params(result, seed, params.full,
@@ -306,7 +283,7 @@ ExperimentResult mwg_starts(const W& walker,
   push_param(result, "graph", source);
   push_param(result, "start", static_cast<std::uint64_t>(start));
   push_param(result, "k", static_cast<std::uint64_t>(k));
-  push_trial_plan<W>(result, cover_run, mc.max_trials, k, pool.size());
+  push_trial_plan(result, plan);
   result.tables.push_back(
       starts_table(source, k, start, same, stationary, uniform));
   result.notes = starts_notes();

@@ -85,17 +85,6 @@ ExperimentResult run_stationary_start(const ExperimentParams& params,
 
 // --- fig_start_placement (ablation) -----------------------------------------
 
-McResult measure_uniform_starts(const Graph& g, unsigned k,
-                                const McOptions& mc, ThreadPool* pool) {
-  return run_monte_carlo(
-      [&g, k](std::uint64_t, Rng& rng) {
-        const auto starts = sample_uniform_starts(g, k, rng);
-        const CoverSample s = sample_multi_cover_time(g, starts, rng);
-        return TrialOutcome{static_cast<double>(s.steps), !s.covered};
-      },
-      mc, pool);
-}
-
 ExperimentResult run_start_placement(const ExperimentParams& params,
                                      ThreadPool& pool) {
   const ExperimentPreset& preset = preset_for("fig_start_placement");
@@ -135,7 +124,10 @@ ExperimentResult run_start_placement(const ExperimentParams& params,
 
     McOptions o3 = mc;
     o3.seed = mix64(seed ^ 0xaaa3ULL);
-    const McResult uniform = measure_uniform_starts(g, k, o3, &pool);
+    const CsrSubstrate substrate(g);
+    const McResult uniform = run_cover_trials(
+        substrate, plan_trials(substrate, k, o3, 0, &pool), g.num_vertices(),
+        uniform_starts(g.num_vertices(), k), o3, CoverOptions{});
 
     McOptions o4 = mc;
     o4.seed = mix64(seed ^ 0xaaa4ULL);

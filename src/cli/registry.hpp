@@ -35,7 +35,7 @@ struct ExperimentParams {
   /// decided), so runners and sinks always see the real count.
   unsigned threads = 0;
   /// Lane shards per cover trial (determinism contract v3): 0 = let the
-  /// thread-budget policy decide, >= 1 pins CoverOptions::lane_shards. Only
+  /// trial plan (plan_trials) decide, >= 1 pins the shard count. Only
   /// experiments declaring ExtraParam::kLaneShards expose the flag.
   unsigned lane_shards = 0;
   // Extra knobs only some experiments declare (see ExperimentInfo::extras):

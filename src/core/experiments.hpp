@@ -3,6 +3,7 @@
 // paper-style text table.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -113,7 +114,10 @@ struct ExperimentResult {
   /// returns, rendered by every sink (JSON key, text warning).
   std::uint64_t censored_cells = 0;
   double elapsed_seconds = 0.0;
-  /// Run manifest (`--metrics`): wall/CPU time, resolved parallelism, and
+  /// The trial plan of the headline (largest-k) estimate, for runners that
+  /// echo one (cli::push_trial_plan); the manifest reports the same plan.
+  std::optional<TrialPlan> plan;
+  /// Run manifest (`--metrics`): wall/CPU time, the resolved plan, and
   /// the final metric snapshot as ordered key/cell pairs. Filled by the CLI
   /// driver, never by runners; empty means every sink's output is
   /// byte-identical to an unobserved run.

@@ -10,7 +10,7 @@ namespace manywalks {
 
 // The Graph overloads delegate through CsrSubstrate: the substrate path
 // consumes the exact draw sequence of a Graph trial (same trial streams,
-// same thread-budget plan), so delegating changes no number.
+// same trial plan), so delegating changes no number.
 
 McResult estimate_cover_time(const Graph& g, Vertex start, const McOptions& mc,
                              const CoverOptions& cover, ThreadPool* pool) {

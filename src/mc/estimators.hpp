@@ -10,6 +10,7 @@
 // thread counts.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <memory>
@@ -24,28 +25,6 @@
 #include "walk/sampling.hpp"
 
 namespace manywalks {
-
-/// The thread-budget arbitration applied by every cover estimator before it
-/// enters run_monte_carlo: decides once per estimate whether the pool fans
-/// out over trials (kTrials) or is handed down to the lane-sharded engine
-/// (kLanes), and writes the decision into the option COPIES the estimate
-/// will run with. An explicit CoverOptions::lane_shards pins lane mode;
-/// otherwise choose_parallelism decides from the trial budget, the lane
-/// count, and the pool width. Returns the decision so call sites can report
-/// it. The estimators own CoverOptions::shard_pool — it is overwritten here
-/// (pool under kLanes, null under kTrials); callers wanting manual control
-/// of the engine's pool should use the cover.hpp samplers directly.
-inline McParallelism apply_thread_budget(std::size_t lanes, ThreadPool* pool,
-                                         McOptions& mc, CoverOptions& cover) {
-  const unsigned pool_threads = pool != nullptr ? pool->size() : 0;
-  const McParallelism mode =
-      cover.lane_shards > 0
-          ? McParallelism::kLanes
-          : choose_parallelism(mc.max_trials, lanes, pool_threads);
-  mc.parallelism = mode;
-  cover.shard_pool = mode == McParallelism::kLanes ? pool : nullptr;
-  return mode;
-}
 
 /// Estimates the single-walk expected cover time C_start.
 McResult estimate_cover_time(const Graph& g, Vertex start,
@@ -137,17 +116,17 @@ McResult estimate_stationary_start_cover(const Graph& g, unsigned k,
 // trials run on one of two walkers:
 //   * a Substrate (implicit, or CSR-wrapping an in-core or memory-mapped
 //     graph): each trial runs on the calling thread's pooled WalkEngineT
-//     (sample_cover_to_target in walk/cover.hpp), and apply_thread_budget
+//     (sample_cover_to_target in walk/cover.hpp), and the trial plan
 //     decides whether the pool fans out over trials or is handed to the
 //     lane-sharded engine;
 //   * BlockedTrials: one out-of-core BlockWalkEngine
 //     (walk/block_engine.hpp), and so one extent cache, shared by every
-//     trial. That forces the trial loop serial: kLanes with no pool and no
-//     lane shards, which is run_monte_carlo's serial index-ordered loop.
-// Only this trial plan differs. The per-trial streams, the seeding scheme
-// and the reduction order are shared, so for a given (graph, seed) the
-// block engine's estimates are BIT-IDENTICAL to the in-core ones at any
-// memory budget (determinism contract v4).
+//     trial. That forces the trial loop serial (kBlocked: no pool, no lane
+//     shards), which is run_monte_carlo's serial index-ordered loop.
+// Only the trial plan (plan_trials) differs. The per-trial streams, the
+// seeding scheme and the reduction order are shared, so for a given
+// (graph, seed) the block engine's estimates are BIT-IDENTICAL to the
+// in-core ones at any memory budget (determinism contract v4).
 //
 // The fixed-target variants are what the giant-graph experiments are
 // built on: full cover is Θ(n²) on a 10^8-cycle, but the time for k walks
@@ -200,48 +179,106 @@ CoverSample sample_cover_to_target(const BlockedTrials& walker,
 template <class W>
 concept TrialWalker = Substrate<W> || std::same_as<W, BlockedTrials>;
 
-/// Plans an estimate's trials: writes the decision into the option COPIES
-/// the estimate runs with and returns the pool its trial loop runs on. A
-/// substrate goes through apply_thread_budget; the shared block engine
-/// pins serial kLanes trials with no pool and no lane shards.
-template <Substrate S>
-ThreadPool* plan_cover_trials(const S& /*substrate*/, std::size_t lanes,
-                              ThreadPool* pool, McOptions& mc,
-                              CoverOptions& cover) {
-  apply_thread_budget(lanes, pool, mc, cover);
-  return pool;
+/// THE trial plan of one cover estimate with k lanes on `walker`: the only
+/// code that decides between trial and lane parallelism and fixes the
+/// shard count. The shared block engine runs serial kBlocked trials. On a
+/// substrate a pinned `pinned_shards` (clamped to k) shards every trial;
+/// otherwise choose_parallelism's trial-count rule picks, and lanes must
+/// also pay for their merge: an epoch's k·kShardEpochRounds steps at least
+/// the team·⌈n/64⌉ words it merges. The shard count is auto_lane_shards(k)
+/// or the pin, never the pool size (contract v3), so no plan changes a
+/// result.
+template <TrialWalker W>
+TrialPlan plan_trials(const W& walker, std::size_t k, const McOptions& mc,
+                      unsigned pinned_shards, ThreadPool* pool) {
+  if constexpr (!Substrate<W>) {
+    return {McParallelism::kBlocked, 0, 1, nullptr};
+  } else {
+    const unsigned pool_threads = pool != nullptr ? pool->size() : 0;
+    const unsigned shards =
+        pinned_shards > 0
+            ? static_cast<unsigned>(std::min<std::size_t>(
+                  pinned_shards, std::max<std::size_t>(k, 1)))
+            : auto_lane_shards(k);
+    const unsigned team = shard_team_size(pool_threads, shards);
+    const std::uint64_t words =
+        (std::uint64_t{walker.num_vertices()} + 63) / 64;
+    if (pinned_shards > 0 ||
+        (choose_parallelism(mc.max_trials, k, pool_threads) ==
+             McParallelism::kLanes &&
+         k * kShardEpochRounds >= team * words)) {
+      return {McParallelism::kLanes, shards, team, pool};
+    }
+    return {McParallelism::kTrials, 0, pool_threads + 1, pool};
+  }
 }
 
-inline ThreadPool* plan_cover_trials(const BlockedTrials& /*walker*/,
-                                     std::size_t /*lanes*/,
-                                     ThreadPool* /*pool*/, McOptions& mc,
-                                     CoverOptions& cover) {
-  mc.parallelism = McParallelism::kLanes;
-  cover.lane_shards = 0;
-  cover.shard_pool = nullptr;
-  return nullptr;
+/// Runs one cover estimate under a resolved plan: each trial takes its
+/// starts from `draw_starts(rng)`, on the trial stream before the walk,
+/// and walks until `target` distinct vertices are visited. The estimators
+/// below plan and call this; a caller running several estimates under one
+/// plan calls it directly.
+template <TrialWalker W, class DrawStarts>
+McResult run_cover_trials(const W& walker, const TrialPlan& plan,
+                          Vertex target, DrawStarts draw_starts,
+                          const McOptions& mc, const CoverOptions& cover) {
+  McOptions mc_run = mc;
+  mc_run.parallelism = plan.mode;
+  CoverOptions cover_run = cover;
+  cover_run.lane_shards = plan.lane_shards;
+  cover_run.shard_pool =
+      plan.mode == McParallelism::kLanes ? plan.pool : nullptr;
+  return run_monte_carlo(
+      [walker, target, cover_run, draw_starts](std::uint64_t, Rng& rng) {
+        const std::vector<Vertex>& starts = draw_starts(rng);
+        const CoverSample sample =
+            sample_cover_to_target(walker, starts, target, rng, cover_run);
+        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
+      },
+      mc_run, plan.pool);
+}
+
+/// The same starts every trial.
+inline auto fixed_starts(std::span<const Vertex> starts) {
+  return [owned = std::vector<Vertex>(starts.begin(), starts.end())](
+             Rng&) -> const std::vector<Vertex>& { return owned; };
+}
+
+/// k starts re-drawn every trial from the stationary distribution of the
+/// graph whose CSR row index is `offsets`.
+inline auto stationary_starts(std::span<const std::uint64_t> offsets,
+                              unsigned k) {
+  return [offsets, k](Rng& rng) {
+    std::vector<Vertex> starts(k);
+    for (Vertex& s : starts) s = sample_stationary_vertex_csr(offsets, rng);
+    return starts;
+  };
+}
+
+/// k starts re-drawn every trial uniformly from n vertices (with
+/// repetition), by the full-word Lemire draw: at giant n the 32-bit
+/// uniform_below re-draws with probability (2^32 mod n)/2^32 (~2.2% at
+/// n = 10^8), the wide one vanishingly rarely.
+inline auto uniform_starts(Vertex n, unsigned k) {
+  return [n, k](Rng& rng) {
+    std::vector<Vertex> starts(k);
+    for (Vertex& s : starts) s = rng.uniform_below_wide(n);
+    return starts;
+  };
 }
 
 /// Estimates the expected rounds for tokens started at `starts` to visit
 /// `target` distinct vertices (target = num_vertices() → cover time).
+/// `cover.lane_shards` is the pinned shard count the plan honors.
 template <TrialWalker W>
 McResult estimate_cover_to_target(const W& walker,
                                   std::span<const Vertex> starts,
                                   Vertex target, const McOptions& mc,
                                   const CoverOptions& cover = {},
                                   ThreadPool* pool = nullptr) {
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  ThreadPool* const trial_pool = plan_cover_trials(
-      walker, starts.size(), pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [walker, owned = std::vector<Vertex>(starts.begin(), starts.end()),
-       target, cover_planned](std::uint64_t, Rng& rng) {
-        const CoverSample sample =
-            sample_cover_to_target(walker, owned, target, rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, trial_pool);
+  return run_cover_trials(
+      walker, plan_trials(walker, starts.size(), mc, cover.lane_shards, pool),
+      target, fixed_starts(starts), mc, cover);
 }
 
 /// The same with k tokens all started at `start`.
@@ -280,19 +317,10 @@ McResult estimate_stationary_start_cover(
     const McOptions& mc, const CoverOptions& cover = {},
     ThreadPool* pool = nullptr) {
   MW_REQUIRE(k >= 1, "k must be >= 1");
-  McOptions mc_planned = mc;
-  CoverOptions cover_planned = cover;
-  ThreadPool* const trial_pool =
-      plan_cover_trials(walker, k, pool, mc_planned, cover_planned);
-  return run_monte_carlo(
-      [walker, offsets, k, cover_planned](std::uint64_t, Rng& rng) {
-        std::vector<Vertex> starts(k);
-        for (Vertex& s : starts) s = sample_stationary_vertex_csr(offsets, rng);
-        const CoverSample sample = sample_cover_to_target(
-            walker, starts, walker.num_vertices(), rng, cover_planned);
-        return TrialOutcome{static_cast<double>(sample.steps), !sample.covered};
-      },
-      mc_planned, trial_pool);
+  return run_cover_trials(walker,
+                          plan_trials(walker, k, mc, cover.lane_shards, pool),
+                          walker.num_vertices(), stationary_starts(offsets, k),
+                          mc, cover);
 }
 
 /// Estimates S^k = T¹(target)/T^k(target) across several k, reusing one

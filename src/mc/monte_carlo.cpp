@@ -30,7 +30,8 @@ McParallelism choose_parallelism(std::uint64_t max_trials, std::size_t lanes,
 }
 
 const char* parallelism_name(McParallelism parallelism) noexcept {
-  return parallelism == McParallelism::kLanes ? "lanes" : "trials";
+  constexpr const char* kNames[] = {"trials", "lanes", "blocked"};
+  return kNames[static_cast<std::size_t>(parallelism)];
 }
 
 McResult run_monte_carlo(const TrialFn& trial, const McOptions& options,
@@ -42,7 +43,7 @@ McResult run_monte_carlo(const TrialFn& trial, const McOptions& options,
   MW_REQUIRE(options.target_rel_half_width > 0.0,
              "target_rel_half_width must be positive");
 
-  const bool lane_mode = options.parallelism == McParallelism::kLanes;
+  const bool lane_mode = options.parallelism != McParallelism::kTrials;
   std::unique_ptr<ThreadPool> local_pool;
   if (pool == nullptr && !lane_mode) {
     local_pool = std::make_unique<ThreadPool>(options.threads);
@@ -85,9 +86,10 @@ McResult run_monte_carlo(const TrialFn& trial, const McOptions& options,
     batch_values.assign(batch, TrialOutcome{});
     if (metrics != nullptr) metrics->add(obs::Metric::kTrialsStarted, batch);
     if (lane_mode) {
-      // Lane mode: the pool belongs to the sharded engine inside each
-      // trial; the trial loop itself stays on the caller. Same per-trial
-      // streams, same order — the estimate is bit-identical to kTrials.
+      // Lane or blocked mode: the pool, if any, belongs to the sharded
+      // engine inside each trial; the trial loop itself stays on the
+      // caller. Same per-trial streams, same order — the estimate is
+      // bit-identical to kTrials.
       for (std::uint64_t i = 0; i < batch; ++i) {
         const std::uint64_t index = done + i;
         obs::TraceSpan span(trace, "trial", "mc");

@@ -27,17 +27,33 @@ enum class McParallelism : std::uint8_t {
   /// across the team — the mode for few long trials (one giant cover run
   /// saturates the machine instead of leaving it idle).
   kLanes,
+  /// Trials run one at a time on the calling thread over the one shared
+  /// out-of-core block engine; no pool, no lane shards.
+  kBlocked,
 };
 
-/// The thread-budget arbitration: many short trials keep trial-level
-/// parallelism (it already saturates the pool with zero synchronization);
-/// few long trials at large k hand the pool to the lane-sharded engine.
-/// Pure in its arguments, so call sites can report the decision.
+/// The trial-count rule of the trial plan (plan_trials in
+/// mc/estimators.hpp, which adds the merge-cost rule): many short trials
+/// keep trial-level parallelism (it already saturates the pool with zero
+/// synchronization); few long trials at large k hand the pool to the
+/// lane-sharded engine. Pure in its arguments.
 McParallelism choose_parallelism(std::uint64_t max_trials, std::size_t lanes,
                                  unsigned pool_threads) noexcept;
 
-/// "trials" / "lanes" — the sink-metadata spelling of the policy decision.
+/// "trials" / "lanes" / "blocked" — the sink spelling of the plan's mode.
 const char* parallelism_name(McParallelism parallelism) noexcept;
+
+/// How one estimate's trials run, resolved once by plan_trials
+/// (mc/estimators.hpp) and read by everything that runs or reports the
+/// estimate: the estimators, the params echo and the --metrics manifest.
+struct TrialPlan {
+  McParallelism mode = McParallelism::kTrials;
+  unsigned lane_shards = 0;  ///< shards per trial; 0 = serial lane kernel
+  unsigned team = 1;         ///< executors: trial fan-out or shard team
+  /// The pool the plan spends: on trials under kTrials, on the sharded
+  /// engine under kLanes; null under kBlocked. Not owned.
+  ThreadPool* pool = nullptr;
+};
 
 struct McOptions {
   std::uint64_t min_trials = 16;
@@ -50,11 +66,11 @@ struct McOptions {
   /// Worker threads; 0 = hardware concurrency. Only used when no external
   /// pool is supplied.
   unsigned threads = 0;
-  /// Thread-budget mode (normally set by the estimators via
-  /// apply_thread_budget, not by hand). Under kLanes the trial loop runs
-  /// sequentially on the caller — same trial streams, same index-ordered
-  /// reduction, bit-identical estimate — and the pool flows to the engine
-  /// through CoverOptions::shard_pool instead.
+  /// Thread-budget mode (normally copied from a TrialPlan by the
+  /// estimators, not set by hand). Under kLanes and kBlocked the trial loop
+  /// runs sequentially on the caller — same trial streams, same
+  /// index-ordered reduction, bit-identical estimate — and under kLanes the
+  /// pool flows to the engine through CoverOptions::shard_pool instead.
   McParallelism parallelism = McParallelism::kTrials;
 };
 

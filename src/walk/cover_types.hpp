@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <thread>
 
 namespace manywalks {
 
@@ -24,22 +25,33 @@ constexpr unsigned auto_lane_shards(std::size_t lanes) noexcept {
   return std::clamp<unsigned>(static_cast<unsigned>(lanes / 256), 1u, 32u);
 }
 
+/// The executors of one sharded trial: the caller plus `pool_threads`
+/// workers, never more than the shards (an executor runs whole shards) or
+/// the cores (spinning executors beyond them only steal time from each
+/// other). Shared by the trial plan and the sharded driver.
+inline unsigned shard_team_size(std::size_t pool_threads, unsigned shards) {
+  static const unsigned cores =
+      std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<unsigned>(
+      std::min<std::size_t>({pool_threads + 1, shards, cores}));
+}
+
 struct CoverOptions {
   /// Probability of a token staying put each step (0 = simple walk).
   double laziness = 0.0;
   /// Safety cap on rounds; a sample that reaches the cap reports
   /// covered=false with steps=step_cap.
   std::uint64_t step_cap = std::numeric_limits<std::uint64_t>::max();
-  /// Lane-sharding plan (determinism contract v3). 0 with a null
-  /// shard_pool = serial unsharded (the status quo); 0 with a pool =
-  /// auto_lane_shards(k); >= 1 pins the shard count (1 still routes
-  /// through the sharded driver — the golden-test configuration). The
-  /// RESULT is identical in every case; only the schedule changes.
+  /// Shards per trial (determinism contract v3): 0 = the serial lane
+  /// kernel; >= 1 runs the sharded driver with that many shards (clamped
+  /// to k; 1 is the golden-test configuration). Passed to an estimator, it
+  /// is the pinned --lane-shards its trial plan honors. The RESULT is
+  /// identical in every case; only the schedule changes.
   unsigned lane_shards = 0;
   /// Worker team for the sharded epoch driver: the engine runs shards on
-  /// min(shard_pool->size()+1, shards, hardware_concurrency) executors
-  /// (the calling thread participates). Null = shards run inline on the
-  /// caller. Not owned.
+  /// shard_team_size(shard_pool->size(), shards) executors (the calling
+  /// thread participates). Null = shards run inline on the caller. Not
+  /// owned.
   ThreadPool* shard_pool = nullptr;
 };
 

@@ -31,7 +31,6 @@
 #include <memory>
 #include <ranges>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -406,7 +405,9 @@ class WalkEngineT {
     }
     if (options.step_cap == 0) return sample;  // no rounds, no draws
     ensure_lanes(rng);
-    if (const unsigned shards = resolved_lane_shards(options); shards > 0) {
+    if (const auto shards = static_cast<unsigned>(
+            std::min<std::size_t>(options.lane_shards, tokens_.size()));
+        shards > 0) {
       // Determinism contract v3: the sharded driver is byte-identical to
       // the serial lane path for every shard/thread count (lane
       // trajectories are pure functions of the per-token streams and the
@@ -553,7 +554,7 @@ class WalkEngineT {
   //
   // Lanes are cut into `shards` contiguous blocks, shard s = lanes
   // [s·k/S, (s+1)·k/S) — a pure function of (k, S), and S itself is a pure
-  // function of the CoverOptions plan (never of the pool size), so the
+  // function of the trial plan (never of the pool size), so the
   // schedule assigns the SAME lanes the SAME streams for every thread
   // count. Rounds run in epochs of kShardEpochRounds: every shard advances
   // its lanes through the whole epoch with the serial lane kernels, marking
@@ -572,24 +573,6 @@ class WalkEngineT {
                                     shards);
   }
 
-  /// The shard count this run uses; 0 = stay on the serial lane path.
-  /// Explicit lane_shards is honored verbatim (clamped to k; 1 still
-  /// exercises the sharded driver — the golden-test configuration);
-  /// automatic sharding engages only when a team pool was supplied and k
-  /// warrants >= 2 shards. The count is never derived from the pool SIZE
-  /// (contract v3's thread-invariance), though sharding never changes
-  /// results either way.
-  unsigned resolved_lane_shards(const CoverOptions& options) const {
-    const std::size_t k = tokens_.size();
-    unsigned shards = options.lane_shards;
-    if (shards == 0) {
-      if (options.shard_pool == nullptr) return 0;
-      shards = auto_lane_shards(k);
-      if (shards <= 1) return 0;  // one shard = the serial path, minus merge
-    }
-    return static_cast<unsigned>(std::min<std::size_t>(shards, k));
-  }
-
   ShardedVisitTracker& ensure_sharded_scratch(unsigned team) {
     if (sharded_scratch_ == nullptr ||
         sharded_scratch_->num_executors() != team) {
@@ -599,25 +582,19 @@ class WalkEngineT {
     return *sharded_scratch_;
   }
 
-  /// The team is the caller plus pool workers, pinned to contiguous shard
-  /// blocks via parallel_for_static, and never larger than the shard count
-  /// or the core count (spinning executors beyond the cores only steal
-  /// time from each other). Each executor walks its shards one after the
-  /// other into the one bitmap it owns, so the merge reads team bitmaps,
-  /// not one per shard. The first worker exception is rethrown after
-  /// the join (the barrier is poisoned on failure so the rest of the team
-  /// exits instead of deadlocking).
+  /// The team (shard_team_size) is the caller plus pool workers, pinned to
+  /// contiguous shard blocks via parallel_for_static. Each executor walks
+  /// its shards one after the other into the one bitmap it owns, so the
+  /// merge reads team bitmaps, not one per shard. The first worker
+  /// exception is rethrown after the join (the barrier is poisoned on
+  /// failure so the rest of the team exits instead of deadlocking).
   template <bool kLazy>
   CoverSample run_until_visited_sharded(Vertex target,
                                         const CoverOptions& options,
                                         unsigned shards) {
     ThreadPool* const pool = options.shard_pool;
-    static const unsigned cores =
-        std::max(1u, std::thread::hardware_concurrency());
-    const auto team =
-        pool == nullptr ? 1u
-                        : static_cast<unsigned>(std::min<std::uint64_t>(
-                              {pool->size() + 1, shards, cores}));
+    const unsigned team =
+        shard_team_size(pool == nullptr ? 0 : pool->size(), shards);
     ShardedVisitTracker& trk = ensure_sharded_scratch(team);
     trk.reset(tracker_.words());
 

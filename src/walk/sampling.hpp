@@ -3,8 +3,9 @@
 // The paper's main question starts all k walks from ONE vertex, but its
 // §1.1 comparison with Broder–Karlin–Raghavan–Upfal concerns walks started
 // from the stationary distribution, and the placement ablation
-// (`manywalks run fig_start_placement`) needs uniform and spread
-// placements too.
+// (`manywalks run fig_start_placement`) needs spread placements too. The
+// per-trial start drawers of the estimators (stationary_starts,
+// uniform_starts) live in mc/estimators.hpp.
 #pragma once
 
 #include <algorithm>
@@ -38,19 +39,6 @@ inline Vertex sample_stationary_vertex_csr(
 /// (delegates to the CSR form; the draw sequence is identical).
 inline Vertex sample_stationary_vertex(const Graph& g, Rng& rng) {
   return sample_stationary_vertex_csr(g.offsets(), rng);
-}
-
-/// k independent uniform starts (with repetition). Uses the full-word
-/// Lemire draw: at giant n the 32-bit uniform_below re-draws with
-/// probability (2^32 mod n)/2^32 (~2.2% at n = 10^8); the wide path makes
-/// rejection vanishingly rare.
-inline std::vector<Vertex> sample_uniform_starts(const Graph& g, unsigned k,
-                                                 Rng& rng) {
-  MW_REQUIRE(k >= 1, "k must be >= 1");
-  MW_REQUIRE(g.num_vertices() > 0, "uniform sampling needs vertices");
-  std::vector<Vertex> starts(k);
-  for (Vertex& s : starts) s = rng.uniform_below_wide(g.num_vertices());
-  return starts;
 }
 
 /// k starts spread over the graph by greedy k-center on BFS distances:

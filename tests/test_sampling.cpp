@@ -6,6 +6,7 @@
 #include <set>
 
 #include "graph/generators.hpp"
+#include "mc/estimators.hpp"
 #include "walk/hitting.hpp"
 
 namespace manywalks {
@@ -53,7 +54,7 @@ TEST(StationarySampling, HandlesLoops) {
 TEST(StationarySampling, StartsVectorHasSizeK) {
   const Graph g = make_cycle(6);
   Rng rng(4);
-  EXPECT_EQ(sample_uniform_starts(g, 3, rng).size(), 3u);
+  EXPECT_EQ(uniform_starts(g.num_vertices(), 3)(rng).size(), 3u);
 }
 
 TEST(UniformSampling, CoversAllVertices) {
@@ -61,7 +62,7 @@ TEST(UniformSampling, CoversAllVertices) {
   Rng rng(5);
   std::set<Vertex> seen;
   for (int i = 0; i < 500; ++i) {
-    for (Vertex v : sample_uniform_starts(g, 2, rng)) seen.insert(v);
+    for (Vertex v : uniform_starts(g.num_vertices(), 2)(rng)) seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 5u);
 }

@@ -1,7 +1,7 @@
 // Units for the lane-sharded execution layer (determinism contract v3,
 // docs/ARCHITECTURE.md): ShardedVisitTracker, the epoch barrier, a worker
-// failing mid-epoch, the static team partitioner, and the thread-budget
-// policy. End-to-end shard/thread invariance of the engine itself lives in
+// failing mid-epoch, the static team partitioner, and the trial plan.
+// End-to-end shard/thread invariance of the engine itself lives in
 // tests/test_engine.cpp.
 #include "walk/visit_tracker.hpp"
 
@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -18,11 +20,16 @@
 #include <utility>
 #include <vector>
 
+#include "graph/generators.hpp"
 #include "graph/substrate.hpp"
+#include "mc/estimators.hpp"
 #include "mc/monte_carlo.hpp"
+#include "storage/block_store.hpp"
+#include "storage/mwg.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "walk/cover_types.hpp"
+#include "walk/block_engine.hpp"
 #include "walk/engine.hpp"
 
 namespace manywalks {
@@ -338,6 +345,85 @@ TEST(ThreadBudget, ChoosesLanesForFewLongWideTrials) {
   EXPECT_EQ(choose_parallelism(8, 4096, 8), McParallelism::kLanes);
   // Few trials but k too narrow to shard: stay trial-parallel.
   EXPECT_EQ(choose_parallelism(8, 16, 8), McParallelism::kTrials);
+}
+
+McOptions eight_trials() {
+  McOptions mc;
+  mc.max_trials = 8;
+  return mc;
+}
+
+TEST(ThreadBudget, GiantTorusPlansTrialsAtEveryPool) {
+  // giant-torus-speedup's shape: n = 3162² ≈ 10^7. An epoch of k ≤ 1024
+  // lanes walks at most 32K steps but would merge team·156K words, so
+  // lanes never pay, though the trial-count rule alone shards from pool 4.
+  const TorusSubstrate torus(3162);
+  EXPECT_EQ(choose_parallelism(8, 1024, 4), McParallelism::kLanes);
+  for (unsigned threads = 1; threads <= 8; ++threads) {
+    ThreadPool pool(threads);
+    for (const std::size_t k : {512u, 1024u}) {
+      SCOPED_TRACE(testing::Message() << "pool=" << threads << " k=" << k);
+      const TrialPlan plan = plan_trials(torus, k, eight_trials(), 0, &pool);
+      EXPECT_EQ(plan.mode, McParallelism::kTrials);
+      EXPECT_EQ(plan.lane_shards, 0u);
+      EXPECT_EQ(plan.team, threads + 1);
+      EXPECT_EQ(plan.pool, &pool);
+    }
+  }
+}
+
+TEST(ThreadBudget, MwgShardedShapePlansSixteenLaneShards) {
+  // perfbench mwg-sharded's shape: n = 2^18, so an epoch of 4096 lanes
+  // walks 131K steps against at most 9·4096 merged words.
+  const CycleSubstrate ring(1u << 18);
+  ThreadPool pool(8);
+  const TrialPlan plan = plan_trials(ring, 4096, eight_trials(), 0, &pool);
+  EXPECT_EQ(plan.mode, McParallelism::kLanes);
+  EXPECT_EQ(plan.lane_shards, 16u);
+  EXPECT_EQ(plan.team, shard_team_size(8, 16));
+  EXPECT_EQ(plan.pool, &pool);
+}
+
+TEST(ThreadBudget, PinnedShardsAreHonoredAndClampedToK) {
+  const TorusSubstrate torus(3162);
+  ThreadPool pool(3);
+  // The pin overrides the merge-cost rule ...
+  TrialPlan plan = plan_trials(torus, 1024, eight_trials(), 3, &pool);
+  EXPECT_EQ(plan.mode, McParallelism::kLanes);
+  EXPECT_EQ(plan.lane_shards, 3u);
+  EXPECT_EQ(plan.team, shard_team_size(3, 3));
+  // ... is clamped to k ...
+  plan = plan_trials(torus, 8, eight_trials(), 16, &pool);
+  EXPECT_EQ(plan.mode, McParallelism::kLanes);
+  EXPECT_EQ(plan.lane_shards, 8u);
+  // ... and needs no pool: the shards then run on the caller alone.
+  plan = plan_trials(torus, 1024, eight_trials(), 4, nullptr);
+  EXPECT_EQ(plan.mode, McParallelism::kLanes);
+  EXPECT_EQ(plan.lane_shards, 4u);
+  EXPECT_EQ(plan.team, 1u);
+  EXPECT_EQ(plan.pool, nullptr);
+}
+
+TEST(ThreadBudget, BlockedTrialsPlanSerialWithNoPoolOrShards) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "manywalks_test_sharding_plan.mwg")
+                               .string();
+  write_mwg(path, make_cycle(256), /*block_bits=*/6);
+  {
+    const BlockedGraph graph(path);
+    BlockWalkEngine engine(graph, 1u << 20);
+    const BlockedTrials walker{engine};
+    ThreadPool pool(3);
+    for (const unsigned pinned : {0u, 4u}) {
+      const TrialPlan plan =
+          plan_trials(walker, 4096, eight_trials(), pinned, &pool);
+      EXPECT_EQ(plan.mode, McParallelism::kBlocked);
+      EXPECT_EQ(plan.lane_shards, 0u);
+      EXPECT_EQ(plan.team, 1u);
+      EXPECT_EQ(plan.pool, nullptr);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
