@@ -14,12 +14,12 @@
 #include <iostream>
 #include <vector>
 
+#include "core/experiments.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -151,7 +151,8 @@ int main(int argc, char** argv) {
   std::cout << "Network: " << describe(base) << ", k = " << k
             << " walks, churn sweep around " << churn << "\n\n";
 
-  TextTable table("Cover time under churn (rounds; swaps/round = churn · m)");
+  ResultTable table("churn",
+                    "Cover time under churn (rounds; swaps/round = churn · m)");
   table.add_column("churn/round")
       .add_column("swaps/round")
       .add_column("cover time")
@@ -169,12 +170,12 @@ int main(int argc, char** argv) {
     const auto ci = mean_confidence_interval(stats);
     if (rate == 0.0) static_mean = ci.mean;
     table.begin_row();
-    table.cell(format_double(rate, 3));
-    table.cell(static_cast<std::uint64_t>(swaps));
-    table.cell(format_mean_pm(ci.mean, ci.half_width));
-    table.cell(format_double(ci.mean / static_mean, 3));
+    table.real(rate, 3);
+    table.count(swaps);
+    table.mean_pm(ci.mean, ci.half_width);
+    table.real(ci.mean / static_mean, 3);
   }
-  std::cout << table
+  std::cout << table_text(table)
             << "\nExpected: the cover time is essentially flat in the churn "
                "rate — the walkers never\nneeded the topology to hold still "
                "(the intro's robustness argument). Any\nstructure-dependent "

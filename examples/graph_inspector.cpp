@@ -73,29 +73,28 @@ int main(int argc, char** argv) {
   }
 
   // --- structure ---------------------------------------------------------
-  TextTable structure("Structure — " + name);
-  structure.add_column("property", TextTable::Align::kLeft)
-      .add_column("value", TextTable::Align::kLeft);
+  ResultTable structure("structure", "Structure — " + name);
+  structure.add_column("property", /*left=*/true)
+      .add_column("value", /*left=*/true);
   const DegreeStats degrees = degree_stats(graph);
-  structure.begin_row().cell("vertices / edges").cell(
+  structure.begin_row().text("vertices / edges").text(
       format_count(graph.num_vertices()) + " / " + format_count(graph.num_edges()));
-  structure.begin_row().cell("degree min/mean/max").cell(
+  structure.begin_row().text("degree min/mean/max").text(
       format_count(degrees.min) + " / " + format_double(degrees.mean, 3) +
       " / " + format_count(degrees.max));
-  structure.begin_row().cell("self loops").cell(format_count(graph.num_loops()));
-  structure.begin_row().cell("bipartite").cell(is_bipartite(graph) ? "yes" : "no");
+  structure.begin_row().text("self loops").count(graph.num_loops());
+  structure.begin_row().text("bipartite").text(is_bipartite(graph) ? "yes" : "no");
   {
     Rng rng(mix64(seed));
-    structure.begin_row().cell("diameter (lower bound)").cell(
-        format_count(diameter_lower_bound(graph, rng)));
+    structure.begin_row().text("diameter (lower bound)").count(
+        diameter_lower_bound(graph, rng));
   }
   const SpectralResult spectrum = second_eigenvalue(graph);
-  structure.begin_row().cell("|λ₂| of walk matrix").cell(
+  structure.begin_row().text("|λ₂| of walk matrix").text(
       format_double(spectrum.lambda_norm, 4) +
       (spectrum.converged ? "" : " (not converged)"));
-  structure.begin_row().cell("spectral gap").cell(
-      format_double(spectrum.spectral_gap, 4));
-  std::cout << structure << '\n';
+  structure.begin_row().text("spectral gap").real(spectrum.spectral_gap);
+  std::cout << table_text(structure) << '\n';
 
   // --- walk profile ------------------------------------------------------
   McOptions mc;
@@ -111,40 +110,35 @@ int main(int argc, char** argv) {
   profile_options.mc = mc;
   const GraphProfile profile = profile_graph(pseudo, profile_options);
 
-  TextTable walk_table("Random-walk profile (start vertex " +
-                       format_count(start) + ")");
-  walk_table.add_column("quantity", TextTable::Align::kLeft)
-      .add_column("value", TextTable::Align::kLeft);
-  walk_table.begin_row().cell("cover time C").cell(
-      format_mean_pm(profile.cover.ci.mean, profile.cover.ci.half_width));
+  ResultTable walk_table("walk", "Random-walk profile (start vertex " +
+                                     format_count(start) + ")");
+  walk_table.add_column("quantity", /*left=*/true)
+      .add_column("value", /*left=*/true);
+  walk_table.begin_row().text("cover time C").mean_pm(profile.cover);
   walk_table.begin_row()
-      .cell(profile.h_max.exact ? "h_max (exact)" : "h_max (sampled)")
-      .cell(format_double(profile.h_max.value));
+      .text(profile.h_max.exact ? "h_max (exact)" : "h_max (sampled)")
+      .real(profile.h_max.value);
   walk_table.begin_row()
-      .cell(profile.mixing.laziness > 0 ? "t_mix (lazy)" : "t_mix")
-      .cell(profile.mixing.converged ? format_count(profile.mixing.time)
+      .text(profile.mixing.laziness > 0 ? "t_mix (lazy)" : "t_mix")
+      .text(profile.mixing.converged ? format_count(profile.mixing.time)
                                      : "> " + format_count(profile.mixing.time));
-  walk_table.begin_row().cell("Matthews gap C/h_max").cell(
-      format_double(profile.gap, 3));
-  walk_table.begin_row().cell("Matthews upper h_max·H_{n-1}").cell(
-      format_double(matthews_upper_bound(profile.h_max.value,
-                                         pseudo.graph.num_vertices())));
-  std::cout << '\n' << walk_table << '\n';
+  walk_table.begin_row().text("Matthews gap C/h_max").real(profile.gap, 3);
+  walk_table.begin_row().text("Matthews upper h_max·H_{n-1}").real(
+      matthews_upper_bound(profile.h_max.value, pseudo.graph.num_vertices()));
+  std::cout << '\n' << table_text(walk_table) << '\n';
 
   // --- speed-up regime -----------------------------------------------------
   const std::vector<unsigned> ks = {2, 4, 8, 16, 32};
   const auto curve =
       estimate_speedup_curve(pseudo.graph, start, ks, mc);
   const RegimeFit fit = classify_speedup_regime(curve);
-  TextTable regime_table("Measured speed-up curve");
+  ResultTable regime_table("regime", "Measured speed-up curve");
   regime_table.add_column("k").add_column("S^k");
   for (const SpeedupEstimate& p : curve) {
-    regime_table.begin_row()
-        .cell(static_cast<std::uint64_t>(p.k))
-        .cell(format_mean_pm(p.speedup, p.half_width, 3));
+    regime_table.begin_row().count(p.k).mean_pm(p);
   }
   std::cout << '\n'
-            << regime_table << "\nRegime: S^k ≈ "
+            << table_text(regime_table) << "\nRegime: S^k ≈ "
             << format_double(fit.multiplier, 3) << " · k^"
             << format_double(fit.exponent, 3) << "  → " << regime_name(fit.regime)
             << " (R² = " << format_double(fit.r_squared, 3) << ")\n";

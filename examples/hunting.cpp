@@ -12,10 +12,10 @@
 #include <iostream>
 #include <vector>
 
+#include "core/experiments.hpp"
 #include "core/families.hpp"
 #include "mc/monte_carlo.hpp"
 #include "util/options.hpp"
-#include "util/table.hpp"
 #include "walk/hitting.hpp"
 
 namespace {
@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
   std::cout << "Prey: " << (moving ? "random-walking" : "hiding (stationary)")
             << ", uniformly placed; hunters start from one base camp.\n\n";
 
-  TextTable table("Expected capture time (rounds)");
-  table.add_column("terrain", TextTable::Align::kLeft);
+  ResultTable table("capture", "Expected capture time (rounds)");
+  table.add_column("terrain", /*left=*/true);
   for (unsigned k : ks) {
     table.add_column("k=" + std::to_string(k));
   }
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
   for (GraphFamily family : terrains) {
     const FamilyInstance terrain = make_family_instance(family, n, seed);
-    table.begin_row().cell(terrain.name);
+    table.begin_row().text(terrain.name);
     double base = 0.0;
     double last = 0.0;
     for (unsigned k : ks) {
@@ -108,11 +108,11 @@ int main(int argc, char** argv) {
                                  trials, mix64(seed ^ (1234 + k)));
       if (k == 1) base = r.ci.mean;
       last = r.ci.mean;
-      table.cell(format_mean_pm(r.ci.mean, r.ci.half_width));
+      table.mean_pm(r);
     }
-    table.cell(format_double(base / last, 3));
+    table.real(base / last, 3);
   }
-  std::cout << table
+  std::cout << table_text(table)
             << "\nCapture = k-walk hitting time: many hunters help "
                "dramatically on mixing\nterrains, barely on the ring "
                "(hunters travel in a pack — §1 of the paper).\n";

@@ -14,10 +14,10 @@
 #include <iostream>
 #include <vector>
 
+#include "core/experiments.hpp"
 #include "graph/generators.hpp"
 #include "mc/monte_carlo.hpp"
 #include "util/options.hpp"
-#include "util/table.hpp"
 #include "walk/hitting.hpp"
 
 namespace {
@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
   std::cout << "Overlay: " << describe(overlay) << ", item replicated on "
             << replicas << " peers\n\n";
 
-  TextTable table("Query latency (rounds until a walker finds a replica)");
+  ResultTable table("latency",
+                    "Query latency (rounds until a walker finds a replica)");
   table.add_column("k walkers")
       .add_column("expander overlay")
       .add_column("speed-up")
@@ -104,13 +105,13 @@ int main(int argc, char** argv) {
       base_ring = on_ring.ci.mean;
     }
     table.begin_row()
-        .cell(static_cast<std::uint64_t>(k))
-        .cell(format_mean_pm(on_expander.ci.mean, on_expander.ci.half_width))
-        .cell(format_double(base_expander / on_expander.ci.mean, 3))
-        .cell(format_mean_pm(on_ring.ci.mean, on_ring.ci.half_width))
-        .cell(format_double(base_ring / on_ring.ci.mean, 3));
+        .count(k)
+        .mean_pm(on_expander)
+        .real(base_expander / on_expander.ci.mean, 3)
+        .mean_pm(on_ring)
+        .real(base_ring / on_ring.ci.mean, 3);
   }
-  std::cout << table
+  std::cout << table_text(table)
             << "\nExpected: near-linear speed-up on the expander overlay "
                "(Thm 18), only\nlogarithmic gains on the ring (Thm 6).\n";
   return 0;

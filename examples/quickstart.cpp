@@ -9,7 +9,6 @@
 #include "core/families.hpp"
 #include "mc/estimators.hpp"
 #include "util/options.hpp"
-#include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace manywalks;
@@ -52,27 +51,25 @@ int main(int argc, char** argv) {
       estimate_speedup(instance.graph, instance.start, k, mc);
 
   // 3. Report.
-  TextTable table("Cover-time speed-up (paper: 'Many random walks are "
-                  "faster than one')");
-  table.add_column("quantity", TextTable::Align::kLeft)
+  ResultTable table("speedup",
+                    "Cover-time speed-up (paper: 'Many random walks are "
+                    "faster than one')");
+  table.add_column("quantity", /*left=*/true)
       .add_column("value")
       .add_column("trials");
   table.begin_row()
-      .cell("C  (1 walk)")
-      .cell(format_mean_pm(s.single.ci.mean, s.single.ci.half_width))
-      .cell(s.single.ci.count);
+      .text("C  (1 walk)")
+      .mean_pm(s.single)
+      .count(s.single.ci.count);
   table.begin_row()
-      .cell("C^k (" + std::to_string(k) + " walks)")
-      .cell(format_mean_pm(s.multi.ci.mean, s.multi.ci.half_width))
-      .cell(s.multi.ci.count);
+      .text("C^k (" + std::to_string(k) + " walks)")
+      .mean_pm(s.multi)
+      .count(s.multi.ci.count);
+  table.begin_row().text("speed-up S^k").mean_pm(s).blank();
   table.begin_row()
-      .cell("speed-up S^k")
-      .cell(format_mean_pm(s.speedup, s.half_width, 3))
-      .cell("-");
-  table.begin_row()
-      .cell("paper regime")
-      .cell(instance.theory.speedup_regime)
-      .cell("-");
-  std::cout << table << '\n';
+      .text("paper regime")
+      .text(instance.theory.speedup_regime)
+      .blank();
+  std::cout << table_text(table) << '\n';
   return 0;
 }

@@ -13,7 +13,6 @@
 #include "core/experiments.hpp"
 #include "theory/bounds.hpp"
 #include "util/options.hpp"
-#include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace manywalks;
@@ -58,32 +57,31 @@ int main(int argc, char** argv) {
     profile_options.mc = options.mc;
     profile_options.mc.seed = mix64(seed ^ 0x9999);
     const GraphProfile profile = profile_graph(instance, profile_options);
-    TextTable ptable("Graph profile");
-    ptable.add_column("quantity", TextTable::Align::kLeft)
+    ResultTable ptable("profile", "Graph profile");
+    ptable.add_column("quantity", /*left=*/true)
         .add_column("measured")
-        .add_column("paper prediction", TextTable::Align::kLeft);
+        .add_column("paper prediction", /*left=*/true);
     ptable.begin_row()
-        .cell("cover time C")
-        .cell(format_mean_pm(profile.cover.ci.mean,
-                             profile.cover.ci.half_width))
-        .cell(instance.theory.cover_formula + std::string(" = ") +
+        .text("cover time C")
+        .mean_pm(profile.cover)
+        .text(instance.theory.cover_formula + std::string(" = ") +
               format_double(instance.theory.cover));
     ptable.begin_row()
-        .cell(profile.h_max.exact ? "h_max (exact)" : "h_max (sampled)")
-        .cell(format_double(profile.h_max.value))
-        .cell(instance.theory.hitting_formula + std::string(" = ") +
+        .text(profile.h_max.exact ? "h_max (exact)" : "h_max (sampled)")
+        .real(profile.h_max.value)
+        .text(instance.theory.hitting_formula + std::string(" = ") +
               format_double(instance.theory.h_max));
     ptable.begin_row()
-        .cell(profile.mixing.laziness > 0 ? "t_mix (lazy)" : "t_mix")
-        .cell(profile.mixing.converged
+        .text(profile.mixing.laziness > 0 ? "t_mix (lazy)" : "t_mix")
+        .text(profile.mixing.converged
                   ? format_count(profile.mixing.time)
                   : "> " + format_count(profile.mixing.time))
-        .cell(instance.theory.mixing_formula);
+        .text(instance.theory.mixing_formula);
     ptable.begin_row()
-        .cell("gap g = C/h_max")
-        .cell(format_double(profile.gap, 3))
-        .cell("Thm 5: linear speed-up for k ≲ g^{1-ε}");
-    std::cout << '\n' << ptable;
+        .text("gap g = C/h_max")
+        .real(profile.gap, 3)
+        .text("Thm 5: linear speed-up for k ≲ g^{1-ε}");
+    std::cout << '\n' << table_text(ptable);
   }
 
   std::vector<unsigned> ks;
@@ -93,23 +91,32 @@ int main(int argc, char** argv) {
   const SpeedupCurveResult curve = run_speedup_curve(instance, ks, options);
 
   // Reference column: the regime Table 1 predicts for this family.
-  std::vector<double> reference;
-  std::string reference_header;
-  switch (*family) {
-    case GraphFamily::kCycle:
-    case GraphFamily::kPath:
-      reference_header = "ln k (paper: Θ(log k))";
-      for (unsigned k : ks) {
-        reference.push_back(std::max(1.0, std::log(static_cast<double>(k))));
-      }
-      break;
-    default:
-      reference_header = "k (paper: linear regime)";
-      for (unsigned k : ks) reference.push_back(static_cast<double>(k));
-      break;
+  const bool log_regime =
+      *family == GraphFamily::kCycle || *family == GraphFamily::kPath;
+  const McResult& single = curve.single;
+  ResultTable table(
+      "speedup_curve",
+      "Speed-up curve on " + curve.name + " from vertex " +
+          std::to_string(curve.start) + " (C = " +
+          cell_text(MeanPmCell{single.ci.mean, single.ci.half_width, 4,
+                               single.censored}) +
+          ")");
+  table.add_column("k")
+      .add_column("C^k")
+      .add_column("S^k = C/C^k")
+      .add_column(log_regime ? "ln k (paper: Θ(log k))"
+                             : "k (paper: linear regime)")
+      .add_column("S^k / ref");
+  for (const SpeedupEstimate& p : curve.points) {
+    const double k = static_cast<double>(p.k);
+    const double reference = log_regime ? std::max(1.0, std::log(k)) : k;
+    table.begin_row()
+        .count(p.k)
+        .mean_pm(p.multi)
+        .mean_pm(p)
+        .real(reference)
+        .real(p.speedup / reference, 3);
   }
-  std::cout << '\n'
-            << render_speedup_curve(curve, reference_header, reference)
-            << '\n';
+  std::cout << '\n' << table_text(table) << '\n';
   return 0;
 }

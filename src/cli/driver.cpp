@@ -11,12 +11,12 @@
 #include "cli/presets.hpp"
 #include "cli/registry.hpp"
 #include "cli/sinks.hpp"
+#include "core/experiments.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "util/options.hpp"
-#include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace manywalks::cli {
@@ -100,17 +100,18 @@ int list_experiments(int argc, char** argv) {
     }
     return 0;
   }
-  TextTable table("Registered experiments (run with `manywalks run <name>`)");
-  table.add_column("name", TextTable::Align::kLeft)
-      .add_column("paper claim", TextTable::Align::kLeft)
-      .add_column("summary", TextTable::Align::kLeft);
+  ResultTable table("experiments",
+                    "Registered experiments (run with `manywalks run <name>`)");
+  table.add_column("name", /*left=*/true)
+      .add_column("paper claim", /*left=*/true)
+      .add_column("summary", /*left=*/true);
   for (const Experiment* experiment : experiments) {
     table.begin_row();
-    table.cell(experiment->info.name);
-    table.cell(experiment->info.claim);
-    table.cell(experiment->info.summary);
+    table.text(experiment->info.name);
+    table.text(experiment->info.claim);
+    table.text(experiment->info.summary);
   }
-  std::cout << table;
+  std::cout << table_text(table);
   return 0;
 }
 

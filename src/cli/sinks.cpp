@@ -1,60 +1,25 @@
 #include "cli/sinks.hpp"
 
 #include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace manywalks::cli {
 
 namespace {
 
-/// Shortest round-trip decimal representation of a double.
-std::string number_repr(double value) {
+/// Shortest round-trip decimal representation of a double; CSV spells
+/// NaN/Inf the to_chars way ("nan", "inf"), where JSON has to write null.
+std::string csv_number(double value) {
   char buffer[64];
   const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
   MW_REQUIRE(ec == std::errc{}, "double formatting failed");
   return std::string(buffer, ptr);
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// JSON numbers cannot be NaN/Inf; those render as null.
-void json_number(std::ostream& os, double value) {
-  if (std::isfinite(value)) {
-    os << number_repr(value);
-  } else {
-    os << "null";
-  }
 }
 
 void json_cell(std::ostream& os, const ResultCell& cell) {
@@ -62,17 +27,15 @@ void json_cell(std::ostream& os, const ResultCell& cell) {
     std::ostream& os;
     void operator()(std::monostate) const { os << "null"; }
     void operator()(const std::string& text) const {
-      os << '"' << json_escape(text) << '"';
+      os << '"' << json_escaped(text) << '"';
     }
     void operator()(std::uint64_t value) const { os << value; }
     void operator()(const RealCell& value) const {
-      json_number(os, value.value);
+      os << json_number_repr(value.value);
     }
     void operator()(const MeanPmCell& value) const {
-      os << "{\"mean\": ";
-      json_number(os, value.mean);
-      os << ", \"half_width\": ";
-      json_number(os, value.half_width);
+      os << "{\"mean\": " << json_number_repr(value.mean)
+         << ", \"half_width\": " << json_number_repr(value.half_width);
       if (value.censored > 0) os << ", \"censored\": " << value.censored;
       os << '}';
     }
@@ -85,7 +48,7 @@ void json_string_array(std::ostream& os,
                        const std::vector<std::string>& lines) {
   os << '[';
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << json_escape(lines[i]) << '"';
+    os << (i == 0 ? "\n" : ",\n") << "    \"" << json_escaped(lines[i]) << '"';
   }
   if (!lines.empty()) os << "\n  ";
   os << ']';
@@ -117,10 +80,10 @@ std::string csv_value(const ResultCell& cell) {
       return std::to_string(value);
     }
     std::string operator()(const RealCell& value) const {
-      return number_repr(value.value);
+      return csv_number(value.value);
     }
     std::string operator()(const MeanPmCell& value) const {
-      return number_repr(value.mean);
+      return csv_number(value.mean);
     }
     std::string operator()(bool value) const {
       return value ? "true" : "false";
@@ -155,7 +118,7 @@ void render_text(const ExperimentResult& result, std::ostream& os) {
   for (const std::string& line : result.preamble) os << line << '\n';
   if (!result.preamble.empty()) os << '\n';
   for (const ResultTable& table : result.tables) {
-    os << to_text_table(table) << '\n';
+    os << table_text(table) << '\n';
   }
   if (result.censored_cells > 0) {
     os << "WARNING: " << result.censored_cells
@@ -178,12 +141,12 @@ void render_text(const ExperimentResult& result, std::ostream& os) {
 std::string render_json(const ExperimentResult& result) {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"experiment\": \"" << json_escape(result.name) << "\",\n";
-  os << "  \"claim\": \"" << json_escape(result.claim) << "\",\n";
+  os << "  \"experiment\": \"" << json_escaped(result.name) << "\",\n";
+  os << "  \"claim\": \"" << json_escaped(result.claim) << "\",\n";
   os << "  \"params\": {";
   for (std::size_t i = 0; i < result.params.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    \""
-       << json_escape(result.params[i].first) << "\": ";
+       << json_escaped(result.params[i].first) << "\": ";
     json_cell(os, result.params[i].second);
   }
   if (!result.params.empty()) os << "\n  ";
@@ -195,12 +158,12 @@ std::string render_json(const ExperimentResult& result) {
     const ResultTable& table = result.tables[t];
     os << (t == 0 ? "\n" : ",\n");
     os << "    {\n";
-    os << "      \"id\": \"" << json_escape(table.id()) << "\",\n";
-    os << "      \"title\": \"" << json_escape(table.title()) << "\",\n";
+    os << "      \"id\": \"" << json_escaped(table.id()) << "\",\n";
+    os << "      \"title\": \"" << json_escaped(table.title()) << "\",\n";
     os << "      \"columns\": [";
     const auto& columns = table.columns();
     for (std::size_t c = 0; c < columns.size(); ++c) {
-      os << (c == 0 ? "" : ", ") << '"' << json_escape(columns[c].name) << '"';
+      os << (c == 0 ? "" : ", ") << '"' << json_escaped(columns[c].name) << '"';
     }
     os << "],\n";
     os << "      \"rows\": [";
@@ -228,7 +191,7 @@ std::string render_json(const ExperimentResult& result) {
     os << "  \"manifest\": {";
     for (std::size_t i = 0; i < result.manifest.size(); ++i) {
       os << (i == 0 ? "\n" : ",\n") << "    \""
-         << json_escape(result.manifest[i].first) << "\": ";
+         << json_escaped(result.manifest[i].first) << "\": ";
       json_cell(os, result.manifest[i].second);
     }
     os << "\n  },\n";
@@ -236,9 +199,8 @@ std::string render_json(const ExperimentResult& result) {
   if (result.has_verdict) {
     os << "  \"passed\": " << (result.passed ? "true" : "false") << ",\n";
   }
-  os << "  \"elapsed_seconds\": ";
-  json_number(os, result.elapsed_seconds);
-  os << "\n}\n";
+  os << "  \"elapsed_seconds\": " << json_number_repr(result.elapsed_seconds)
+     << "\n}\n";
   return os.str();
 }
 
@@ -279,7 +241,7 @@ std::string render_csv(const ResultTable& table) {
           cell != nullptr ? std::get_if<MeanPmCell>(cell) : nullptr;
       if (has_half[c]) {
         os << ',';
-        if (pm != nullptr) os << number_repr(pm->half_width);
+        if (pm != nullptr) os << csv_number(pm->half_width);
       }
       if (has_censored[c]) {
         os << ',';

@@ -1,5 +1,6 @@
 #include "core/experiments.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <future>
@@ -42,6 +43,9 @@ ResultTable& ResultTable::add_column(std::string name, bool left) {
 
 ResultTable& ResultTable::begin_row() {
   MW_REQUIRE(!columns_.empty(), "declare columns before rows");
+  MW_REQUIRE(rows_.empty() || rows_.back().cells.size() == columns_.size(),
+             "previous row incomplete: " << rows_.back().cells.size() << "/"
+                                         << columns_.size() << " cells");
   rows_.push_back(Row{{}, pending_rule_});
   pending_rule_ = false;
   return *this;
@@ -102,18 +106,76 @@ std::uint64_t count_censored_cells(const ExperimentResult& result) {
   return censored_cells;
 }
 
-TextTable to_text_table(const ResultTable& table) {
-  TextTable text(table.title());
-  for (const ResultTable::Column& column : table.columns()) {
-    text.add_column(column.name, column.left ? TextTable::Align::kLeft
-                                             : TextTable::Align::kRight);
+namespace {
+
+// Width in display columns; counts UTF-8 code points (exact for ASCII and
+// single-width symbols such as "±", "†", "²").
+std::size_t display_width(const std::string& s) {
+  std::size_t width = 0;
+  for (char raw : s) {
+    const auto c = static_cast<unsigned char>(raw);
+    if ((c & 0xC0) != 0x80) ++width;  // skip UTF-8 continuation bytes
   }
+  return width;
+}
+
+void append_padded(std::string& out, const std::string& text, std::size_t width,
+                   bool left) {
+  const std::size_t w = display_width(text);
+  const std::size_t pad = width > w ? width - w : 0;
+  if (!left) out.append(pad, ' ');
+  out += text;
+  if (left) out.append(pad, ' ');
+}
+
+}  // namespace
+
+std::string table_text(const ResultTable& table) {
+  const std::vector<ResultTable::Column>& columns = table.columns();
+  std::vector<std::vector<std::string>> cells;
+  cells.reserve(table.rows().size());
+  std::vector<std::size_t> widths(columns.size());
+  for (std::size_t c = 0; c < columns.size(); ++c)
+    widths[c] = display_width(columns[c].name);
   for (const ResultTable::Row& row : table.rows()) {
-    if (row.rule_before) text.rule();
-    text.begin_row();
-    for (const ResultCell& cell : row.cells) text.cell(cell_text(cell));
+    std::vector<std::string>& texts = cells.emplace_back();
+    for (std::size_t c = 0; c < row.cells.size(); ++c) {
+      texts.push_back(cell_text(row.cells[c]));
+      widths[c] = std::max(widths[c], display_width(texts[c]));
+    }
   }
-  return text;
+
+  std::size_t total = 0;
+  for (std::size_t w : widths) total += w;
+  total += columns.empty() ? 0 : 3 * (columns.size() - 1);
+
+  std::string out;
+  if (!table.title().empty()) {
+    out += table.title();
+    out += '\n';
+  }
+  const std::string hrule(total, '-');
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    if (c) out += " | ";
+    append_padded(out, columns[c].name, widths[c], columns[c].left);
+  }
+  out += '\n';
+  out += hrule;
+  out += '\n';
+  for (std::size_t r = 0; r < cells.size(); ++r) {
+    if (table.rows()[r].rule_before) {
+      out += hrule;
+      out += '\n';
+    }
+    // Only the last row can be short; its missing cells pad as blanks.
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      if (c) out += " | ";
+      append_padded(out, c < cells[r].size() ? cells[r][c] : std::string(),
+                    widths[c], columns[c].left);
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 namespace {
@@ -265,11 +327,6 @@ ResultTable make_table1_result_table(std::span<const Table1Row> rows,
   return table;
 }
 
-TextTable render_table1(std::span<const Table1Row> rows,
-                        std::span<const unsigned> ks) {
-  return to_text_table(make_table1_result_table(rows, ks));
-}
-
 SpeedupCurveResult run_speedup_curve(const FamilyInstance& instance,
                                      std::span<const unsigned> ks,
                                      const ExperimentOptions& options,
@@ -284,42 +341,6 @@ SpeedupCurveResult run_speedup_curve(const FamilyInstance& instance,
                                          mc, options.cover, pool);
   if (!result.points.empty()) result.single = result.points.front().single;
   return result;
-}
-
-TextTable render_speedup_curve(const SpeedupCurveResult& result,
-                               const std::string& reference_header,
-                               const std::vector<double>& reference_values) {
-  std::ostringstream title;
-  title << "Speed-up curve on " << result.name << " from vertex "
-        << result.start << " (C = "
-        << format_mean_pm(result.single.ci.mean, result.single.ci.half_width)
-        << ")";
-  TextTable table(title.str());
-  table.add_column("k").add_column("C^k").add_column("S^k = C/C^k");
-  const bool have_reference = !reference_header.empty();
-  if (have_reference) {
-    MW_REQUIRE(reference_values.size() == result.points.size(),
-               "one reference value per point required");
-    table.add_column(reference_header);
-    table.add_column("S^k / ref");
-  }
-  for (std::size_t i = 0; i < result.points.size(); ++i) {
-    const SpeedupEstimate& p = result.points[i];
-    // Same dagger convention as the structured cells: a censored estimate
-    // is a lower bound, never rendered as clean.
-    table.begin_row();
-    table.cell(static_cast<std::uint64_t>(p.k));
-    table.cell(format_mean_pm(p.multi.ci.mean, p.multi.ci.half_width) +
-               (p.multi.censored > 0 ? "†" : ""));
-    table.cell(format_mean_pm(p.speedup, p.half_width, 3) +
-               (p.censored > 0 ? "†" : ""));
-    if (have_reference) {
-      table.cell(format_double(reference_values[i]));
-      table.cell(format_double(
-          reference_values[i] > 0 ? p.speedup / reference_values[i] : 0.0, 3));
-    }
-  }
-  return table;
 }
 
 BarbellResult run_barbell_experiment(std::span<const Vertex> ns, double c_k,
@@ -374,10 +395,6 @@ ResultTable make_barbell_result_table(const BarbellResult& result) {
     table.real(p.speedup, 3);
   }
   return table;
-}
-
-TextTable render_barbell(const BarbellResult& result) {
-  return to_text_table(make_barbell_result_table(result));
 }
 
 }  // namespace manywalks

@@ -1,6 +1,6 @@
 // Experiment runners shared by the bench binaries and integration tests.
-// Each runner returns a structured result; render_* turns it into the
-// paper-style text table.
+// Each runner returns a structured result; make_*_result_table turns it
+// into a ResultTable, the one table type every output renders from.
 #pragma once
 
 #include <optional>
@@ -47,8 +47,8 @@ using ResultCell =
     std::variant<std::monostate, std::string, std::uint64_t, RealCell,
                  MeanPmCell, bool>;
 
-/// Renders a cell exactly as the legacy text tables did (format_count /
-/// format_double / format_mean_pm; empty cells as "-").
+/// Renders a cell for the text tables (format_count / format_double /
+/// format_mean_pm plus "†" when censored; empty cells as "-").
 std::string cell_text(const ResultCell& cell);
 
 class ResultTable {
@@ -67,6 +67,7 @@ class ResultTable {
       : id_(std::move(id)), title_(std::move(title)) {}
 
   ResultTable& add_column(std::string name, bool left = false);
+  /// Starts a row; the previous row must be complete.
   ResultTable& begin_row();
   /// Inserts a horizontal rule before the next row (group separators).
   ResultTable& rule();
@@ -128,8 +129,12 @@ struct ExperimentResult {
 /// tables (the value stamped into ExperimentResult::censored_cells).
 std::uint64_t count_censored_cells(const ExperimentResult& result);
 
-/// Converts a structured table into the legacy fixed-width text table.
-TextTable to_text_table(const ResultTable& table);
+/// The fixed-width text rendering of a table: the title line (if any),
+/// the header, a dashed rule, then one line per row (plus the rules the
+/// table asked for). Columns are " | "-separated and as wide as their
+/// widest entry in display columns; left columns pad right, the others
+/// pad left.
+std::string table_text(const ResultTable& table);
 
 struct ExperimentOptions {
   std::uint64_t seed = 7;
@@ -137,7 +142,6 @@ struct ExperimentOptions {
   CoverOptions cover;
   std::uint64_t hmax_exact_limit = 1200;
   std::uint64_t mixing_cap = 400'000;
-  unsigned threads = 0;  ///< workers for the shared pool (0 = hardware)
 };
 
 // --- Table 1 ---------------------------------------------------------------
@@ -163,13 +167,9 @@ std::vector<Table1Row> run_table1_rows(
     std::span<const FamilyInstance> instances, std::span<const unsigned> ks,
     const ExperimentOptions& options, ThreadPool& pool);
 
-/// Table 1 as a structured table; render_table1 is to_text_table of this,
-/// so the CLI sinks and the legacy text rendering share one layout.
+/// Table 1 as a structured table.
 ResultTable make_table1_result_table(std::span<const Table1Row> rows,
                                      std::span<const unsigned> ks);
-
-TextTable render_table1(std::span<const Table1Row> rows,
-                        std::span<const unsigned> ks);
 
 // --- generic speed-up curve (Thms 6, 8, 18) ---------------------------------
 
@@ -185,12 +185,6 @@ SpeedupCurveResult run_speedup_curve(const FamilyInstance& instance,
                                      std::span<const unsigned> ks,
                                      const ExperimentOptions& options,
                                      ThreadPool* pool = nullptr);
-
-/// Renders k, Ĉ^k, S^k plus a per-point reference column ("k", "ln k", ...)
-/// computed by `reference` (may be empty).
-TextTable render_speedup_curve(const SpeedupCurveResult& result,
-                               const std::string& reference_header,
-                               const std::vector<double>& reference_values);
 
 // --- barbell (Figure 1 / Thm 7) ---------------------------------------------
 
@@ -214,10 +208,7 @@ BarbellResult run_barbell_experiment(std::span<const Vertex> ns, double c_k,
                                      const ExperimentOptions& options,
                                      ThreadPool* pool = nullptr);
 
-/// The barbell sweep as a structured table; render_barbell is
-/// to_text_table of this.
+/// The barbell sweep as a structured table.
 ResultTable make_barbell_result_table(const BarbellResult& result);
-
-TextTable render_barbell(const BarbellResult& result);
 
 }  // namespace manywalks

@@ -1,11 +1,11 @@
-// Minimal ordered JSON writer shared by the CLI sinks (the run-manifest
-// block), `manywalks graph info --json`, and the observability tests.
+// JSON spelling (json_escaped, json_number_repr) shared by the CLI's JSON
+// sink and the trace files, and a minimal ordered JSON writer on top of it
+// for `manywalks graph info --json` and the perf probe.
 //
 // Emission order is exactly call order: deterministic, byte-stable output
 // is part of the sink contract, so there is no map-backed reordering here.
-// Numbers render via std::to_chars (shortest round-trip form), matching the
-// experiment sinks; NaN/Inf render as null because JSON has no spelling for
-// them.
+// Numbers render via std::to_chars (shortest round-trip form); NaN/Inf
+// render as null because JSON has no spelling for them.
 #pragma once
 
 #include <charconv>

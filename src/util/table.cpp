@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
-#include <ostream>
-
-#include "util/check.hpp"
+#include <sstream>
 
 namespace manywalks {
 
@@ -37,123 +35,6 @@ std::string format_count(std::uint64_t value) {
 
 std::string format_mean_pm(double mean, double half_width, int sig) {
   return format_double(mean, sig) + " ± " + format_double(half_width, 2);
-}
-
-TextTable& TextTable::add_column(std::string header, Align align) {
-  MW_REQUIRE(rows_.empty(), "columns must be declared before rows");
-  headers_.push_back(std::move(header));
-  aligns_.push_back(align);
-  return *this;
-}
-
-TextTable& TextTable::begin_row() {
-  MW_REQUIRE(!headers_.empty(), "declare columns before rows");
-  MW_REQUIRE(rows_.empty() || rows_.back().cells.size() == headers_.size(),
-             "previous row incomplete: " << rows_.back().cells.size() << "/"
-                                         << headers_.size() << " cells");
-  Row row;
-  row.rule_before = pending_rule_;
-  pending_rule_ = false;
-  rows_.push_back(std::move(row));
-  return *this;
-}
-
-TextTable& TextTable::cell(std::string text) {
-  MW_REQUIRE(!rows_.empty(), "begin_row before adding cells");
-  MW_REQUIRE(rows_.back().cells.size() < headers_.size(),
-             "too many cells in row");
-  rows_.back().cells.push_back(std::move(text));
-  return *this;
-}
-
-TextTable& TextTable::cell(std::int64_t value) {
-  // Negate in unsigned space (INT64_MIN-safe) and build the string by
-  // append: prepending via operator+(const char*, string&&) trips GCC 12's
-  // bogus -Wrestrict (PR 105651) under -O2.
-  if (value < 0) {
-    std::string text = "-";
-    text += format_count(0u - static_cast<std::uint64_t>(value));
-    return cell(std::move(text));
-  }
-  return cell(format_count(static_cast<std::uint64_t>(value)));
-}
-
-TextTable& TextTable::rule() {
-  pending_rule_ = true;
-  return *this;
-}
-
-namespace {
-
-// Width in display columns; counts UTF-8 code points (good enough for our
-// ASCII + "±" usage).
-std::size_t display_width(const std::string& s) {
-  std::size_t width = 0;
-  for (char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
-    if ((c & 0xC0) != 0x80) ++width;  // skip UTF-8 continuation bytes
-  }
-  return width;
-}
-
-void append_padded(std::string& out, const std::string& text, std::size_t width,
-                   TextTable::Align align) {
-  const std::size_t w = display_width(text);
-  const std::size_t pad = width > w ? width - w : 0;
-  if (align == TextTable::Align::kRight) out.append(pad, ' ');
-  out += text;
-  if (align == TextTable::Align::kLeft) out.append(pad, ' ');
-}
-
-}  // namespace
-
-std::string TextTable::str() const {
-  std::vector<std::size_t> widths(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c)
-    widths[c] = display_width(headers_[c]);
-  for (const Row& row : rows_) {
-    for (std::size_t c = 0; c < row.cells.size(); ++c)
-      widths[c] = std::max(widths[c], display_width(row.cells[c]));
-  }
-
-  std::size_t total = 0;
-  for (std::size_t w : widths) total += w;
-  total += headers_.empty() ? 0 : 3 * (headers_.size() - 1);
-
-  std::string out;
-  if (!title_.empty()) {
-    out += title_;
-    out += '\n';
-  }
-  std::string hrule(total, '-');
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) out += " | ";
-    append_padded(out, headers_[c], widths[c], aligns_[c]);
-  }
-  out += '\n';
-  out += hrule;
-  out += '\n';
-  for (const Row& row : rows_) {
-    if (row.rule_before) {
-      out += hrule;
-      out += '\n';
-    }
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      if (c) out += " | ";
-      const std::string empty;
-      append_padded(out, c < row.cells.size() ? row.cells[c] : empty, widths[c],
-                    aligns_[c]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-void TextTable::print(std::ostream& os) const { os << str(); }
-
-std::ostream& operator<<(std::ostream& os, const TextTable& table) {
-  table.print(os);
-  return os;
 }
 
 }  // namespace manywalks

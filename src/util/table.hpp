@@ -1,12 +1,9 @@
-// Fixed-width text tables for the experiment harnesses — every bench binary
-// prints paper-style rows through this formatter.
+// Number formatting for the paper-style text tables (ResultTable's text
+// renderer, core/experiments.hpp) and for prose lines around them.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <sstream>
 #include <string>
-#include <vector>
 
 namespace manywalks {
 
@@ -19,52 +16,5 @@ std::string format_count(std::uint64_t value);
 
 /// Formats "mean ± half" compactly, e.g. "1234 ± 56".
 std::string format_mean_pm(double mean, double half_width, int sig = 4);
-
-class TextTable {
- public:
-  enum class Align { kLeft, kRight };
-
-  explicit TextTable(std::string title = {}) : title_(std::move(title)) {}
-
-  /// Declares the next column; call once per column before adding rows.
-  TextTable& add_column(std::string header, Align align = Align::kRight);
-
-  /// Starts a new row. Cells are added with `cell`.
-  TextTable& begin_row();
-
-  /// Appends one cell to the current row (strings verbatim, numbers via the
-  /// formatters above).
-  TextTable& cell(std::string text);
-  TextTable& cell(const char* text) { return cell(std::string(text)); }
-  TextTable& cell(double value) { return cell(format_double(value)); }
-  TextTable& cell(std::uint64_t value) { return cell(format_count(value)); }
-  TextTable& cell(std::int64_t value);
-  TextTable& cell(int value) { return cell(static_cast<std::int64_t>(value)); }
-  TextTable& cell(unsigned value) { return cell(static_cast<std::uint64_t>(value)); }
-
-  /// Inserts a horizontal rule before the next row.
-  TextTable& rule();
-
-  std::size_t num_rows() const noexcept { return rows_.size(); }
-  std::size_t num_columns() const noexcept { return headers_.size(); }
-
-  /// Renders the table (title, header, rules, rows).
-  std::string str() const;
-  void print(std::ostream& os) const;
-
- private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool rule_before = false;
-  };
-
-  std::string title_;
-  std::vector<std::string> headers_;
-  std::vector<Align> aligns_;
-  std::vector<Row> rows_;
-  bool pending_rule_ = false;
-};
-
-std::ostream& operator<<(std::ostream& os, const TextTable& table);
 
 }  // namespace manywalks

@@ -203,6 +203,13 @@ ExperimentResult golden_result() {
   table.count(0);
   table.blank();
   table.real(0.1, 4);
+  // Non-finite reals: JSON has no spelling for them (null); CSV keeps
+  // to_chars' "inf"/"nan"; text keeps format_double's.
+  table.begin_row();
+  table.text("non-finite");
+  table.real(std::numeric_limits<double>::infinity());
+  table.real(std::numeric_limits<double>::quiet_NaN());
+  table.real(-std::numeric_limits<double>::infinity());
   result.tables.push_back(std::move(table));
   result.notes = {"note 1", "note 2"};
   result.has_verdict = true;
@@ -230,7 +237,8 @@ TEST(Sinks, JsonGolden) {
       "columns": ["name", "count", "value", "est"],
       "rows": [
         ["a,b \"q\"", 1234567, 1.5, {"mean": 2.25, "half_width": 0.5, "censored": 2}],
-        ["line\nbreak", 0, null, 0.1]
+        ["line\nbreak", 0, null, 0.1],
+        ["non-finite", null, null, null]
       ]
     }
   ],
@@ -250,7 +258,8 @@ TEST(Sinks, CsvGoldenWithMeanPmExpansionAndQuoting) {
   const std::string expected =
       "name,count,value,est,est (±),est (censored)\n"
       "\"a,b \"\"q\"\"\",1234567,1.5,2.25,0.5,2\n"
-      "\"line\nbreak\",0,,0.1,,\n";
+      "\"line\nbreak\",0,,0.1,,\n"
+      "non-finite,inf,nan,-inf,,\n";
   EXPECT_EQ(render_csv(golden_result().tables.front()), expected);
 }
 
@@ -275,18 +284,27 @@ TEST(Sinks, UncensoredEstimatesRenderWithoutCensoredArtifacts) {
 }
 
 TEST(Sinks, TextRenderMatchesLegacyLayout) {
+  // Full bytes: column widths count display columns ("±", "†" are one
+  // each), labels pad right, numbers pad left, rules span the table.
+  const std::string expected =
+      "pre line\n"
+      "\n"
+      "Title\n"
+      "name       |     count | value |         est\n"
+      "--------------------------------------------\n"
+      "a,b \"q\"    | 1,234,567 |   1.5 | 2.25 ± 0.5†\n"
+      "--------------------------------------------\n"
+      "line\nbreak |         0 |     - |         0.1\n"
+      "non-finite |       inf |   nan |        -inf\n"
+      "\n"
+      "WARNING: 1 estimate(s) marked † include step-cap-censored trials; "
+      "their means are lower bounds.\n"
+      "note 1\n"
+      "note 2\n"
+      "Elapsed: 0.5 s\n";
   std::ostringstream os;
   render_text(golden_result(), os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("pre line\n"), std::string::npos);
-  EXPECT_NE(text.find("Title"), std::string::npos);
-  EXPECT_NE(text.find("1,234,567"), std::string::npos);  // thousands separator
-  EXPECT_NE(text.find("note 2\n"), std::string::npos);
-  EXPECT_NE(text.find("Elapsed: 0.5 s\n"), std::string::npos);
-  // Censored estimates carry the dagger and trigger the lower-bound
-  // warning line.
-  EXPECT_NE(text.find("†"), std::string::npos);
-  EXPECT_NE(text.find("WARNING: 1 estimate(s)"), std::string::npos);
+  EXPECT_EQ(os.str(), expected);
 }
 
 TEST(Sinks, ParseOutputFormat) {

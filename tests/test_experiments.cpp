@@ -52,12 +52,12 @@ TEST(Table1Experiment, RenderContainsFamilyAndColumns) {
   ThreadPool pool(1);
   const std::vector<Table1Row> rows =
       run_table1_rows(instances, ks, quick_options(100), pool);
-  const TextTable table = render_table1(rows, ks);
-  const std::string text = table.str();
+  const ResultTable table = make_table1_result_table(rows, ks);
+  const std::string text = table_text(table);
   EXPECT_NE(text.find("cycle"), std::string::npos);
   EXPECT_NE(text.find("S^2"), std::string::npos);
   EXPECT_NE(text.find("t_mix"), std::string::npos);
-  EXPECT_EQ(table.num_rows(), 1u);
+  EXPECT_EQ(table.rows().size(), 1u);
 }
 
 std::vector<FamilyInstance> table1_instances(std::uint64_t target_n) {
@@ -192,34 +192,6 @@ TEST(SpeedupCurveExperiment, PointsOrderedAsRequested) {
   EXPECT_GT(result.single.ci.mean, 0.0);
 }
 
-TEST(SpeedupCurveExperiment, RenderWithReference) {
-  const FamilyInstance inst = make_family_instance(GraphFamily::kComplete, 32);
-  const std::vector<unsigned> ks = {2, 4};
-  const auto result = run_speedup_curve(inst, ks, quick_options(150));
-  const TextTable table =
-      render_speedup_curve(result, "k (linear ref)", {2.0, 4.0});
-  const std::string text = table.str();
-  EXPECT_NE(text.find("k (linear ref)"), std::string::npos);
-  EXPECT_NE(text.find("S^k"), std::string::npos);
-  EXPECT_EQ(table.num_rows(), 2u);
-}
-
-TEST(SpeedupCurveExperiment, RenderWithoutReference) {
-  const FamilyInstance inst = make_family_instance(GraphFamily::kComplete, 32);
-  const std::vector<unsigned> ks = {2};
-  const auto result = run_speedup_curve(inst, ks, quick_options(100));
-  const TextTable table = render_speedup_curve(result, "", {});
-  EXPECT_EQ(table.num_columns(), 3u);
-}
-
-TEST(SpeedupCurveExperiment, ReferenceSizeMismatchThrows) {
-  const FamilyInstance inst = make_family_instance(GraphFamily::kComplete, 32);
-  const std::vector<unsigned> ks = {2};
-  const auto result = run_speedup_curve(inst, ks, quick_options(100));
-  EXPECT_THROW(render_speedup_curve(result, "ref", {1.0, 2.0}),
-               std::invalid_argument);
-}
-
 TEST(BarbellExperiment, ProducesPointPerSize) {
   const std::vector<Vertex> ns = {31, 61};
   const auto result = run_barbell_experiment(ns, 3.0, quick_options(100));
@@ -236,7 +208,7 @@ TEST(BarbellExperiment, ProducesPointPerSize) {
 TEST(BarbellExperiment, RenderSmokes) {
   const std::vector<Vertex> ns = {31};
   const auto result = run_barbell_experiment(ns, 3.0, quick_options(60));
-  const std::string text = render_barbell(result).str();
+  const std::string text = table_text(make_barbell_result_table(result));
   EXPECT_NE(text.find("C^k/n"), std::string::npos);
   EXPECT_NE(text.find("31"), std::string::npos);
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+
+#include "core/experiments.hpp"
 
 namespace manywalks {
 namespace {
@@ -37,43 +41,53 @@ TEST(FormatMeanPm, CombinesBoth) {
   EXPECT_EQ(format_mean_pm(100.0, 5.0), "100 ± 5");
 }
 
-TEST(TextTableTest, RendersHeaderAndRows) {
-  TextTable t("My title");
-  t.add_column("name", TextTable::Align::kLeft).add_column("value");
-  t.begin_row().cell("alpha").cell(std::uint64_t{42});
-  t.begin_row().cell("b").cell(std::uint64_t{7});
-  const std::string out = t.str();
+TEST(TableText, RendersHeaderAndRows) {
+  ResultTable t("id", "My title");
+  t.add_column("name", /*left=*/true).add_column("value");
+  t.begin_row().text("alpha").count(42);
+  t.begin_row().text("b").count(7);
+  const std::string out = table_text(t);
   EXPECT_NE(out.find("My title"), std::string::npos);
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("42"), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.num_columns(), 2u);
+  EXPECT_EQ(t.rows().size(), 2u);
+  EXPECT_EQ(t.columns().size(), 2u);
 }
 
-TEST(TextTableTest, RightAlignmentPadsLeft) {
-  TextTable t;
+TEST(TableText, GoldenLayout) {
+  // Full bytes: widths count display columns ("±", "†" are one each),
+  // left columns pad right, the others pad left, rules span the table.
+  ResultTable t("id", "My title");
+  t.add_column("name", /*left=*/true).add_column("count").add_column("est");
+  t.begin_row().text("alpha").count(1234).mean_pm(12.5, 0.25);
+  t.rule();
+  t.begin_row().text("b").count(7).mean_pm(3.0, 1.0, 4, /*censored=*/1);
+  EXPECT_EQ(table_text(t),
+            "My title\n"
+            "name  | count |         est\n"
+            "---------------------------\n"
+            "alpha | 1,234 | 12.5 ± 0.25\n"
+            "---------------------------\n"
+            "b     |     7 |      3 ± 1†\n");
+}
+
+TEST(TableText, RightAlignmentPadsLeft) {
+  ResultTable t;
   t.add_column("v");  // right-aligned by default
-  t.begin_row().cell(std::uint64_t{1});
-  t.begin_row().cell(std::uint64_t{100});
-  const std::string out = t.str();
+  t.begin_row().count(1);
+  t.begin_row().count(100);
+  const std::string out = table_text(t);
   // The shorter value must be right-aligned under the longer one.
   EXPECT_NE(out.find("  1\n"), std::string::npos);
 }
 
-TEST(TextTableTest, NegativeNumbersFormatted) {
-  TextTable t;
+TEST(TableText, RuleInsertsSeparator) {
+  ResultTable t;
   t.add_column("v");
-  t.begin_row().cell(std::int64_t{-1234});
-  EXPECT_NE(t.str().find("-1,234"), std::string::npos);
-}
-
-TEST(TextTableTest, RuleInsertsSeparator) {
-  TextTable t;
-  t.add_column("v");
-  t.begin_row().cell("a");
+  t.begin_row().text("a");
   t.rule();
-  t.begin_row().cell("b");
-  const std::string out = t.str();
+  t.begin_row().text("b");
+  const std::string out = table_text(t);
   // Header rule + mid rule = at least two dashed lines.
   std::size_t dashes = 0;
   std::istringstream is(out);
@@ -85,33 +99,38 @@ TEST(TextTableTest, RuleInsertsSeparator) {
   EXPECT_GE(dashes, 2u);
 }
 
-TEST(TextTableTest, TooManyCellsThrows) {
-  TextTable t;
-  t.add_column("v");
-  t.begin_row().cell("x");
-  EXPECT_THROW(t.cell("y"), std::invalid_argument);
+TEST(TableText, ShortLastRowPadsBlank) {
+  ResultTable t;
+  t.add_column("a").add_column("b");
+  t.begin_row().text("x");
+  EXPECT_EQ(table_text(t), "a | b\n-----\nx |  \n");
 }
 
-TEST(TextTableTest, CellBeforeRowThrows) {
-  TextTable t;
+TEST(TableText, TooManyCellsThrows) {
+  ResultTable t;
   t.add_column("v");
-  EXPECT_THROW(t.cell("x"), std::invalid_argument);
+  t.begin_row().text("x");
+  EXPECT_THROW(t.text("y"), std::invalid_argument);
 }
 
-TEST(TextTableTest, ColumnsAfterRowsThrow) {
-  TextTable t;
+TEST(TableText, CellBeforeRowThrows) {
+  ResultTable t;
   t.add_column("v");
-  t.begin_row().cell("x");
+  EXPECT_THROW(t.text("x"), std::invalid_argument);
+}
+
+TEST(TableText, ColumnsAfterRowsThrow) {
+  ResultTable t;
+  t.add_column("v");
+  t.begin_row().text("x");
   EXPECT_THROW(t.add_column("w"), std::invalid_argument);
 }
 
-TEST(TextTableTest, StreamOperator) {
-  TextTable t;
-  t.add_column("v");
-  t.begin_row().cell("z");
-  std::ostringstream os;
-  os << t;
-  EXPECT_NE(os.str().find('z'), std::string::npos);
+TEST(TableText, PreviousRowIncompleteThrows) {
+  ResultTable t;
+  t.add_column("a").add_column("b");
+  t.begin_row().text("x");
+  EXPECT_THROW(t.begin_row(), std::invalid_argument);
 }
 
 }  // namespace

@@ -34,12 +34,13 @@ TEST(Umbrella, EndToEndFlow) {
   const Graph back = read_edge_list(ss);
   EXPECT_EQ(back.num_edges(), inst.graph.num_edges());
 
-  TextTable table("smoke");
+  ResultTable table("smoke", "smoke");
   table.add_column("k").add_column("S");
   for (const auto& p : curve) {
-    table.begin_row().cell(static_cast<std::uint64_t>(p.k)).cell(p.speedup);
+    table.begin_row().count(p.k).mean_pm(p);
   }
-  EXPECT_EQ(table.num_rows(), 3u);
+  EXPECT_EQ(table.rows().size(), 3u);
+  EXPECT_NE(table_text(table).find("smoke\n"), std::string::npos);
 }
 
 }  // namespace
