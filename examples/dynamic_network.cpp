@@ -20,6 +20,7 @@
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "walk/cover_types.hpp"
 
 namespace {
 
@@ -102,10 +103,11 @@ class DynamicGraph {
 };
 
 /// k-walk cover time under churn: every round, `swaps_per_round` double
-/// edge swaps are applied before the tokens move.
-std::uint64_t cover_under_churn(DynamicGraph graph, Vertex start, unsigned k,
-                                unsigned swaps_per_round, Rng& rng,
-                                std::uint64_t cap) {
+/// edge swaps are applied before the tokens move. A trial that has not
+/// covered after `cap` rounds reports steps = cap, covered = false.
+CoverSample cover_under_churn(DynamicGraph graph, Vertex start, unsigned k,
+                              unsigned swaps_per_round, Rng& rng,
+                              std::uint64_t cap) {
   std::vector<Vertex> tokens(k, start);
   std::vector<bool> visited(graph.num_vertices(), false);
   visited[start] = true;
@@ -119,9 +121,9 @@ std::uint64_t cover_under_churn(DynamicGraph graph, Vertex start, unsigned k,
         ++covered;
       }
     }
-    if (covered == graph.num_vertices()) return t;
+    if (covered == graph.num_vertices()) return {t, true};
   }
-  return cap;
+  return {cap, false};
 }
 
 }  // namespace
@@ -162,20 +164,24 @@ int main(int argc, char** argv) {
   for (const double rate : {0.0, churn / 10, churn, churn * 10}) {
     const auto swaps = static_cast<unsigned>(rate * static_cast<double>(base.num_edges()));
     RunningStats stats;
+    std::uint64_t censored = 0;
     for (std::uint64_t trial = 0; trial < trials; ++trial) {
       Rng rng = make_trial_rng(mix64(seed ^ (0xd1aULL + swaps)), trial);
-      stats.add(static_cast<double>(cover_under_churn(
-          dynamic_base, 0, k, swaps, rng, 1'000'000)));
+      const CoverSample sample =
+          cover_under_churn(dynamic_base, 0, k, swaps, rng, 1'000'000);
+      stats.add(static_cast<double>(sample.steps));
+      if (!sample.covered) ++censored;
     }
     const auto ci = mean_confidence_interval(stats);
     if (rate == 0.0) static_mean = ci.mean;
     table.begin_row();
     table.real(rate, 3);
     table.count(swaps);
-    table.mean_pm(ci.mean, ci.half_width);
+    table.mean_pm(ci.mean, ci.half_width, 4, censored);
     table.real(ci.mean / static_mean, 3);
   }
   std::cout << table_text(table)
+            << censored_legend(count_censored_cells(table))
             << "\nExpected: the cover time is essentially flat in the churn "
                "rate — the walkers never\nneeded the topology to hold still "
                "(the intro's robustness argument). Any\nstructure-dependent "

@@ -125,7 +125,9 @@ int main(int argc, char** argv) {
   walk_table.begin_row().text("Matthews gap C/h_max").real(profile.gap, 3);
   walk_table.begin_row().text("Matthews upper h_max·H_{n-1}").real(
       matthews_upper_bound(profile.h_max.value, pseudo.graph.num_vertices()));
-  std::cout << '\n' << table_text(walk_table) << '\n';
+  std::cout << '\n'
+            << table_text(walk_table)
+            << censored_legend(count_censored_cells(walk_table)) << '\n';
 
   // --- speed-up regime -----------------------------------------------------
   const std::vector<unsigned> ks = {2, 4, 8, 16, 32};
@@ -138,7 +140,9 @@ int main(int argc, char** argv) {
     regime_table.begin_row().count(p.k).mean_pm(p);
   }
   std::cout << '\n'
-            << table_text(regime_table) << "\nRegime: S^k ≈ "
+            << table_text(regime_table)
+            << censored_legend(count_censored_cells(regime_table))
+            << "\nRegime: S^k ≈ "
             << format_double(fit.multiplier, 3) << " · k^"
             << format_double(fit.exponent, 3) << "  → " << regime_name(fit.regime)
             << " (R² = " << format_double(fit.r_squared, 3) << ")\n";

@@ -113,6 +113,7 @@ int main(int argc, char** argv) {
     table.real(base / last, 3);
   }
   std::cout << table_text(table)
+            << censored_legend(count_censored_cells(table))
             << "\nCapture = k-walk hitting time: many hunters help "
                "dramatically on mixing\nterrains, barely on the ring "
                "(hunters travel in a pack — §1 of the paper).\n";

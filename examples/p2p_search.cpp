@@ -112,6 +112,7 @@ int main(int argc, char** argv) {
         .real(base_ring / on_ring.ci.mean, 3);
   }
   std::cout << table_text(table)
+            << censored_legend(count_censored_cells(table))
             << "\nExpected: near-linear speed-up on the expander overlay "
                "(Thm 18), only\nlogarithmic gains on the ring (Thm 6).\n";
   return 0;

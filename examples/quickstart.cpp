@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
       .text("paper regime")
       .text(instance.theory.speedup_regime)
       .blank();
-  std::cout << table_text(table) << '\n';
+  std::cout << table_text(table)
+            << censored_legend(count_censored_cells(table)) << '\n';
   return 0;
 }

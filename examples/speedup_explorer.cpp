@@ -81,7 +81,9 @@ int main(int argc, char** argv) {
         .text("gap g = C/h_max")
         .real(profile.gap, 3)
         .text("Thm 5: linear speed-up for k ≲ g^{1-ε}");
-    std::cout << '\n' << table_text(ptable);
+    std::cout << '\n'
+              << table_text(ptable)
+              << censored_legend(count_censored_cells(ptable));
   }
 
   std::vector<unsigned> ks;
@@ -117,6 +119,8 @@ int main(int argc, char** argv) {
         .real(reference)
         .real(p.speedup / reference, 3);
   }
-  std::cout << '\n' << table_text(table) << '\n';
+  std::cout << '\n'
+            << table_text(table)
+            << censored_legend(count_censored_cells(table)) << '\n';
   return 0;
 }

@@ -120,11 +120,7 @@ void render_text(const ExperimentResult& result, std::ostream& os) {
   for (const ResultTable& table : result.tables) {
     os << table_text(table) << '\n';
   }
-  if (result.censored_cells > 0) {
-    os << "WARNING: " << result.censored_cells
-       << " estimate(s) marked † include step-cap-censored trials; their "
-          "means are lower bounds.\n";
-  }
+  os << censored_legend(result.censored_cells);
   for (const std::string& line : result.notes) os << line << '\n';
   // Manifest lines start at column 0 on purpose: CI's budget-invariance
   // check diffs the table rows (`grep '^ '`), and manifest values carry

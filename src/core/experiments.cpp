@@ -92,18 +92,31 @@ ResultTable& ResultTable::mean_pm(const SpeedupEstimate& estimate, int sig) {
 
 ResultTable& ResultTable::blank() { return cell(ResultCell{}); }
 
-std::uint64_t count_censored_cells(const ExperimentResult& result) {
+std::uint64_t count_censored_cells(const ResultTable& table) {
   std::uint64_t censored_cells = 0;
-  for (const ResultTable& table : result.tables) {
-    for (const ResultTable::Row& row : table.rows()) {
-      for (const ResultCell& cell : row.cells) {
-        if (const auto* pm = std::get_if<MeanPmCell>(&cell)) {
-          if (pm->censored > 0) ++censored_cells;
-        }
+  for (const ResultTable::Row& row : table.rows()) {
+    for (const ResultCell& cell : row.cells) {
+      if (const auto* pm = std::get_if<MeanPmCell>(&cell)) {
+        if (pm->censored > 0) ++censored_cells;
       }
     }
   }
   return censored_cells;
+}
+
+std::uint64_t count_censored_cells(const ExperimentResult& result) {
+  std::uint64_t censored_cells = 0;
+  for (const ResultTable& table : result.tables) {
+    censored_cells += count_censored_cells(table);
+  }
+  return censored_cells;
+}
+
+std::string censored_legend(std::uint64_t censored_cells) {
+  if (censored_cells == 0) return {};
+  return "WARNING: " + std::to_string(censored_cells) +
+         " estimate(s) marked † include step-cap-censored trials; their "
+         "means are lower bounds.\n";
 }
 
 namespace {

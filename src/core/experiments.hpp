@@ -125,9 +125,18 @@ struct ExperimentResult {
   std::vector<std::pair<std::string, ResultCell>> manifest;
 };
 
+/// Counts the MeanPm cells flagged censored in one table.
+std::uint64_t count_censored_cells(const ResultTable& table);
+
 /// Counts the MeanPm cells flagged censored across all of the result's
 /// tables (the value stamped into ExperimentResult::censored_cells).
 std::uint64_t count_censored_cells(const ExperimentResult& result);
+
+/// The legend of the "†" marker: one line saying how many estimates carry
+/// it and that their means are lower bounds, or "" when `censored_cells`
+/// is 0. Every text output that can print a "†" prints it after its
+/// tables.
+std::string censored_legend(std::uint64_t censored_cells);
 
 /// The fixed-width text rendering of a table: the title line (if any),
 /// the header, a dashed rule, then one line per row (plus the rules the

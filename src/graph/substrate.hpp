@@ -195,10 +195,21 @@ class CycleSubstrate {
 
 /// side x side 2-d torus (make_grid_2d's row-major indexing: v = x*side+y).
 /// The four wrap-around neighbors are returned in ascending (CSR) order.
+///
+/// neighbor() is the lane kernel's whole per-step adjacency cost, so it
+/// runs without a hardware divide: x = v / side is the high word of
+/// magic * v with magic = ceil(2^64 / side), exact for every 32-bit v
+/// (Lemire, Kaser & Kurz, "Faster remainder by direct computation").
+/// An interior vertex (1 <= x, y <= side-2) has the fixed sorted row
+/// {v-side, v-1, v+1, v+side}, so it needs no sort either; only border
+/// vertices wrap and sort.
 class TorusSubstrate {
  public:
   explicit TorusSubstrate(Vertex side)
-      : side_(side), n_(side * side) {
+      : side_(side),
+        n_(side * side),
+        magic_(~std::uint64_t{0} / side + 1),
+        step_{0 - side, 0 - Vertex{1}, 1, side} {
     MW_REQUIRE(side >= 3, "torus substrate needs side >= 3, got " << side);
     MW_REQUIRE(n_ / side == side, "torus side " << side << " overflows Vertex");
   }
@@ -210,8 +221,11 @@ class TorusSubstrate {
   Vertex num_vertices() const noexcept { return n_; }
   Vertex degree(Vertex) const noexcept { return 4; }
   Vertex neighbor(Vertex v, Vertex i) const noexcept {
-    const Vertex x = v / side_;
+    __extension__ using u128 = unsigned __int128;
+    const auto x = static_cast<Vertex>((u128{magic_} * v) >> 64);
     const Vertex y = v - x * side_;
+    // Unsigned compares: x-1 and y-1 wrap past side-3 when x or y is 0.
+    if (x - 1 < side_ - 2 && y - 1 < side_ - 2) return v + step_[i];
     const Vertex xm = x == 0 ? side_ - 1 : x - 1;
     const Vertex xp = x + 1 == side_ ? 0 : x + 1;
     const Vertex ym = y == 0 ? side_ - 1 : y - 1;
@@ -235,6 +249,8 @@ class TorusSubstrate {
  private:
   Vertex side_;
   Vertex n_;
+  std::uint64_t magic_;  // ceil(2^64 / side): v / side == (magic_*v) >> 64
+  Vertex step_[4];       // an interior vertex's sorted row, minus v
 };
 
 /// Hypercube on 2^dimension vertices: neighbor i flips bit i. That is a

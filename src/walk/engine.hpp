@@ -244,8 +244,8 @@ inline void lane_steps_lane_major(const S& substrate, Draw draw,
   };
   // Four lanes per strip: their states stay register/L1-local across all
   // rounds, and interleaving four independent chains keeps long-latency
-  // neighbor math (e.g. the torus division) pipelined — the cross-lane ILP
-  // a one-lane strip would forfeit.
+  // neighbor math (e.g. the torus's 128-bit multiply) pipelined — the
+  // cross-lane ILP a one-lane strip would forfeit.
   std::size_t i = 0;
   for (; i + 4 <= k; i += 4) {
     Rng r0 = rngs[i], r1 = rngs[i + 1], r2 = rngs[i + 2], r3 = rngs[i + 3];

@@ -100,6 +100,18 @@ TEST(Registry, RunStampsCensoredCellTally) {
   EXPECT_NE(render_json(result).find("\"censored\": 3"), std::string::npos);
 }
 
+TEST(Registry, CensoredLegendCountsOneTable) {
+  ResultTable table("tbl", "Title");
+  table.add_column("a").add_column("b").add_column("c");
+  table.begin_row().mean_pm(1.0, 0.1, 4, 2).mean_pm(1.0, 0.1).mean_pm(
+      1.0, 0.1, 4, 1);
+  EXPECT_EQ(count_censored_cells(table), 2u);
+  EXPECT_EQ(censored_legend(0), "");
+  EXPECT_EQ(censored_legend(count_censored_cells(table)),
+            "WARNING: 2 estimate(s) marked † include step-cap-censored "
+            "trials; their means are lower bounds.\n");
+}
+
 TEST(Registry, GeometricKsIsOverflowSafe) {
   const std::vector<unsigned> doubling = geometric_ks(64);
   EXPECT_EQ(doubling, (std::vector<unsigned>{1, 2, 4, 8, 16, 32, 64}));

@@ -99,35 +99,56 @@ TEST(MwgRoundtrip, ToGraphMaterializesIdenticalGraph) {
   expect_same_arrays(back, mapped);
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
 TEST(MwgRoundtrip, SubstrateWriterMatchesGraphWriterByteForByte) {
   // The streaming substrate writer must produce the canonical CSR file —
   // including the hypercube, whose substrate enumerates rows in bit order
-  // (unsorted) and so exercises the per-row sort.
+  // (unsorted) and so exercises the per-row sort, and the torus, whose
+  // rows mix the interior shortcut with wrapped border rows — in v1 and
+  // in v2 with a block index.
   struct Case {
     const char* name;
     Graph graph;
-    std::function<void(const std::string&)> write_substrate;
+    std::function<void(const std::string&, std::uint32_t)> write_substrate;
   };
   const Case cases[] = {
       {"cycle", make_cycle(33),
-       [](const std::string& p) { write_mwg(p, CycleSubstrate(33)); }},
+       [](const std::string& p, std::uint32_t bits) {
+         write_mwg(p, CycleSubstrate(33), bits);
+       }},
       {"hypercube", make_hypercube(4),
-       [](const std::string& p) { write_mwg(p, HypercubeSubstrate(4)); }},
+       [](const std::string& p, std::uint32_t bits) {
+         write_mwg(p, HypercubeSubstrate(4), bits);
+       }},
       {"complete", make_complete(9),
-       [](const std::string& p) { write_mwg(p, CompleteSubstrate(9)); }},
+       [](const std::string& p, std::uint32_t bits) {
+         write_mwg(p, CompleteSubstrate(9), bits);
+       }},
+      {"torus 3", make_grid_2d(3),
+       [](const std::string& p, std::uint32_t bits) {
+         write_mwg(p, TorusSubstrate(3), bits);
+       }},
+      {"torus 65", make_grid_2d(65),
+       [](const std::string& p, std::uint32_t bits) {
+         write_mwg(p, TorusSubstrate(65), bits);
+       }},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    TempFile from_graph("w_graph.mwg");
-    TempFile from_substrate("w_substrate.mwg");
-    write_mwg(from_graph.path(), c.graph);
-    c.write_substrate(from_substrate.path());
-    std::ifstream a(from_graph.path(), std::ios::binary);
-    std::ifstream b(from_substrate.path(), std::ios::binary);
-    std::stringstream sa, sb;
-    sa << a.rdbuf();
-    sb << b.rdbuf();
-    EXPECT_EQ(sa.str(), sb.str());
+    for (std::uint32_t bits : {0u, 4u}) {
+      SCOPED_TRACE(testing::Message() << c.name << " block_bits=" << bits);
+      TempFile from_graph("w_graph.mwg");
+      TempFile from_substrate("w_substrate.mwg");
+      write_mwg(from_graph.path(), c.graph, bits);
+      c.write_substrate(from_substrate.path(), bits);
+      EXPECT_EQ(file_bytes(from_graph.path()),
+                file_bytes(from_substrate.path()));
+    }
   }
 }
 
@@ -614,6 +635,26 @@ TEST(GraphTool, ConvertAcceptsAllOptionSpellings) {
   EXPECT_EQ(mapped.num_vertices(), 3u);
   EXPECT_EQ(run_graph_tool({"info", mwg.path(), "--deep"}), 0);
   EXPECT_EQ(run_graph_tool({"info", "--in=" + mwg.path()}), 0);
+}
+
+TEST(GraphTool, GenStreamMatchesInCoreGen) {
+  // `gen --stream` writes from an implicit substrate, `gen` from the
+  // family's CSR graph; the files must be the same bytes.
+  for (const char* family : {"cycle", "complete", "grid2d"}) {
+    for (const char* bits : {"--block-bits=0", "--block-bits=5"}) {
+      SCOPED_TRACE(testing::Message() << family << " " << bits);
+      TempFile in_core("cli_gen_in_core.mwg");
+      TempFile streamed("cli_gen_streamed.mwg");
+      const std::string family_flag = std::string("--family=") + family;
+      ASSERT_EQ(run_graph_tool({"gen", family_flag, "--n=300", bits,
+                                "--out=" + in_core.path()}),
+                0);
+      ASSERT_EQ(run_graph_tool({"gen", family_flag, "--n=300", bits,
+                                "--stream", "--out=" + streamed.path()}),
+                0);
+      EXPECT_EQ(file_bytes(in_core.path()), file_bytes(streamed.path()));
+    }
+  }
 }
 
 TEST(GraphTool, GenInfoRoundTrip) {

@@ -74,9 +74,54 @@ TEST(Substrates, CycleMatchesCsrOrder) {
 }
 
 TEST(Substrates, TorusMatchesCsrOrder) {
-  for (Vertex side : {3u, 4u, 5u, 8u, 13u}) {
+  // 3 has a single interior vertex; 4 and 256 are powers of two, where
+  // the division magic is exactly 2^64 / side.
+  for (Vertex side : {3u, 4u, 5u, 8u, 13u, 64u, 256u, 257u}) {
     SCOPED_TRACE(side);
     expect_csr_ordered(TorusSubstrate(side), make_grid_2d(side));
+  }
+}
+
+/// The torus row of v the plain way: a hardware divide, the four
+/// wrap-around neighbors, then a sort into CSR order.
+std::vector<Vertex> torus_row_by_divide(Vertex side, Vertex v) {
+  const Vertex x = v / side;
+  const Vertex y = v % side;
+  std::vector<Vertex> row = {((x + side - 1) % side) * side + y,
+                             ((x + 1) % side) * side + y,
+                             x * side + (y + side - 1) % side,
+                             x * side + (y + 1) % side};
+  std::sort(row.begin(), row.end());
+  return row;
+}
+
+TEST(Substrates, TorusAtLargestSideMatchesDivideReference) {
+  // side 65535 is the largest whose side^2 fits a Vertex; its CSR would
+  // not fit in memory, so the reference is computed per vertex.
+  const Vertex side = 65535;
+  const TorusSubstrate torus(side);
+  ASSERT_EQ(torus.num_vertices(), side * side);
+  const auto expect_row = [&](Vertex x, Vertex y) {
+    const Vertex v = x * side + y;
+    const std::vector<Vertex> expected = torus_row_by_divide(side, v);
+    for (Vertex i = 0; i < 4; ++i) {
+      ASSERT_EQ(torus.neighbor(v, i), expected[i]) << "v=" << v << " i=" << i;
+    }
+  };
+  for (Vertex t = 0; t < side; ++t) {  // every border vertex
+    expect_row(0, t);
+    expect_row(side - 1, t);
+    expect_row(t, 0);
+    expect_row(t, side - 1);
+  }
+  // A strided sample of the interior (the prime stride sweeps x and y
+  // over their whole ranges), plus the interior's four corners.
+  const std::uint64_t n = torus.num_vertices();
+  for (std::uint64_t v = 0; v < n; v += 65521) {
+    expect_row(static_cast<Vertex>(v / side), static_cast<Vertex>(v % side));
+  }
+  for (Vertex x : {1u, side - 2}) {
+    for (Vertex y : {1u, side - 2}) expect_row(x, y);
   }
 }
 
@@ -134,7 +179,10 @@ TEST(Substrates, ConstructorsValidate) {
 /// times and the RNG states must match draw for draw.
 template <Substrate S>
 void expect_engine_bit_identical(const S& substrate, const Graph& g,
-                                 unsigned k, Vertex target) {
+                                 unsigned k, Vertex target,
+                                 double laziness = 0.0) {
+  CoverOptions options;
+  options.laziness = laziness;
   WalkEngine csr_engine(g);
   WalkEngineT<S> sub_engine(substrate);
   const std::vector<Vertex> starts(k, 0);
@@ -143,8 +191,10 @@ void expect_engine_bit_identical(const S& substrate, const Graph& g,
     Rng sub_rng = make_trial_rng(0x5eedULL, trial);
     csr_engine.reset(starts);
     sub_engine.reset(starts);
-    const CoverSample expected = csr_engine.run_until_visited(target, csr_rng);
-    const CoverSample actual = sub_engine.run_until_visited(target, sub_rng);
+    const CoverSample expected =
+        csr_engine.run_until_visited(target, csr_rng, options);
+    const CoverSample actual =
+        sub_engine.run_until_visited(target, sub_rng, options);
     ASSERT_EQ(expected.steps, actual.steps) << "trial=" << trial;
     ASSERT_EQ(expected.covered, actual.covered) << "trial=" << trial;
     ASSERT_EQ(csr_rng.state(), sub_rng.state()) << "trial=" << trial;
@@ -160,11 +210,15 @@ TEST(SubstrateEngine, CycleBitIdenticalToCsrEngine) {
 }
 
 TEST(SubstrateEngine, TorusBitIdenticalToCsrEngine) {
-  const Vertex side = 8;
-  for (unsigned k : {1u, 4u}) {
-    SCOPED_TRACE(k);
-    expect_engine_bit_identical(TorusSubstrate(side), make_grid_2d(side), k,
-                                side * side);
+  for (Vertex side : {3u, 8u, 33u}) {
+    for (unsigned k : {1u, 4u, 64u}) {
+      for (double laziness : {0.0, 0.3}) {
+        SCOPED_TRACE(testing::Message() << "side=" << side << " k=" << k
+                                        << " laziness=" << laziness);
+        expect_engine_bit_identical(TorusSubstrate(side), make_grid_2d(side),
+                                    k, side * side, laziness);
+      }
+    }
   }
 }
 
