@@ -1,8 +1,8 @@
 #include "storage/block_store.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -41,17 +41,15 @@ BlockedGraph::BlockedGraph(ReadOnlyFile file)
   check_structure();
 }
 
-MappedExtent BlockedGraph::map_extent(std::uint64_t byte_begin,
-                                      std::uint64_t byte_end) const {
+void BlockedGraph::read_extent(std::uint64_t byte_begin,
+                               std::uint64_t byte_end, std::byte* out) const {
+  MW_REQUIRE(byte_begin < byte_end,
+             "empty extent [" << byte_begin << "," << byte_end << ")");
   MW_REQUIRE(byte_end <= file_bytes_,
              "extent [" << byte_begin << "," << byte_end
                         << ") past the end of '" << path_ << "' ("
                         << file_bytes_ << " bytes)");
-  MappedExtent extent(file_, byte_begin, byte_end);
-  // One extent = one sequential read: prefetch the whole range now so the
-  // block's walkers hit warm pages instead of faulting one by one.
-  extent.advise(0, byte_end - byte_begin, POSIX_MADV_WILLNEED);
-  return extent;
+  file_.read_at(byte_begin, byte_end, out);
 }
 
 // --- ExtentCache ------------------------------------------------------
@@ -74,30 +72,56 @@ const std::byte* ExtentCache::acquire(std::uint64_t byte_begin,
         o != nullptr && o->metrics != nullptr) {
       obs::thread_counters().add(obs::Metric::kCacheHits, 1);
     }
-    return lru_.front().extent.data();
+    return lru_.front().buffer.data.get();
   }
-  lru_.push_front(
-      Entry{byte_begin, byte_end, graph_->map_extent(byte_begin, byte_end)});
-  by_begin_.emplace(byte_begin, lru_.begin());
   const std::uint64_t bytes = byte_end - byte_begin;
-  ++stats_.loads;
-  stats_.bytes_loaded += bytes;
-  stats_.resident_bytes += bytes;
-  // Evict LRU extents past the budget, but never the one just acquired:
-  // a single over-budget extent still loads (and pins the cache floor).
+  // Evict LRU extents until the new one fits the budget, then read it.
+  // The new extent is never its own victim, so these are exactly the
+  // victims a load-then-evict order would pick, and an empty cache takes
+  // an over-budget extent anyway (it pins the cache floor). Victims move
+  // to `spare` with their list and index nodes, and the first one whose
+  // buffer is large enough carries the new extent: on a regular store a
+  // full-cache miss allocates nothing.
+  std::list<Entry> spare;
+  decltype(by_begin_)::node_type index_node;
   std::uint64_t evicted = 0;
-  while (stats_.resident_bytes > budget_ && lru_.size() > 1) {
+  while (!lru_.empty() && stats_.resident_bytes + bytes > budget_) {
     const Entry& victim = lru_.back();
     stats_.resident_bytes -= victim.end - victim.begin;
     ++stats_.evictions;
     ++evicted;
-    by_begin_.erase(victim.begin);
-    lru_.pop_back();
+    if (index_node.empty()) {
+      index_node = by_begin_.extract(victim.begin);
+    } else {
+      by_begin_.erase(victim.begin);
+    }
+    spare.splice(spare.end(), lru_, std::prev(lru_.end()));
   }
+  auto slot = std::find_if(spare.begin(), spare.end(), [&](const Entry& e) {
+    return e.buffer.capacity >= bytes;
+  });
+  if (slot == spare.end()) {
+    slot = spare.emplace(spare.end());
+    slot->buffer = {std::make_unique_for_overwrite<std::byte[]>(bytes), bytes};
+  }
+  graph_->read_extent(byte_begin, byte_end, slot->buffer.data.get());
+  slot->begin = byte_begin;
+  slot->end = byte_end;
+  lru_.splice(lru_.begin(), spare, slot);
+  if (index_node.empty()) {
+    by_begin_.emplace(byte_begin, lru_.begin());
+  } else {
+    index_node.key() = byte_begin;
+    index_node.mapped() = lru_.begin();
+    by_begin_.insert(std::move(index_node));
+  }
+  ++stats_.loads;
+  stats_.bytes_loaded += bytes;
+  stats_.resident_bytes += bytes;
   stats_.peak_resident_bytes =
       std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
   // Observability: misses and evictions are cache-churn events (coarse by
-  // construction — one per extent mapped, never per walk step). Counters
+  // construction — one per extent read, never per walk step). Counters
   // go to the calling thread's scratch; trace events go straight to the
   // (mutex-protected) writer.
   if (obs::RunObserver* const o = obs::observer(); o != nullptr) {
@@ -114,7 +138,7 @@ const std::byte* ExtentCache::acquire(std::uint64_t byte_begin,
       o->trace->instant("extent-load", "cache", 0, std::move(args));
     }
   }
-  return lru_.front().extent.data();
+  return lru_.front().buffer.data.get();
 }
 
 }  // namespace manywalks

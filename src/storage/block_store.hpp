@@ -7,13 +7,15 @@
 // header + offsets array up front and the v2 block index at the tail —
 // and hands out adjacency as explicit extents:
 //
-//   * `map_extent(byte_begin, byte_end)` maps one file extent (a
-//     MappedExtent, storage/mwg.hpp) and prefetches it as a sequential
-//     read;
-//   * `ExtentCache` keeps an LRU of mapped extents bounded by an
-//     explicit byte budget (`--mem-budget`), so the resident set is a
-//     scheduling decision, not a page-cache accident. At least one
-//     extent stays resident even when it alone exceeds the budget.
+//   * `read_extent(byte_begin, byte_end, out)` reads one file extent into
+//     a caller-owned buffer with one sequential pread — no mapping, no
+//     page faults, no page-cache advice;
+//   * `ExtentCache` keeps an LRU of extents read into buffers it owns,
+//     bounded by an explicit byte budget (`--mem-budget`), so the
+//     resident set is a scheduling decision, not a page-cache accident.
+//     At least one extent stays resident even when it alone exceeds the
+//     budget. A miss evicts first and reads into a victim's buffer when
+//     it is large enough, so a full cache allocates nothing per load.
 //
 // BlockedGraph validates a file exactly as MappedGraph does — both run
 // MwgMetadata's header check and structure scan — and adds only the
@@ -24,14 +26,16 @@
 // its streams) budget-invariant (determinism contract v4, see
 // docs/ARCHITECTURE.md "Out-of-core scheduling").
 //
-// All mmap/madvise calls in the tree live in src/storage/ — consumers
-// (the block engine, benches) go through this API, enforced by the
-// manywalks-lint rule `manywalks-mmap-outside-storage`.
+// All mmap/madvise and pread calls in the tree live in src/storage/ —
+// consumers (the block engine, benches) go through this API, enforced by
+// the manywalks-lint rule `manywalks-mmap-outside-storage`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "graph/graph.hpp"
@@ -41,7 +45,7 @@ namespace manywalks {
 
 /// Metadata-resident handle on an mwg v2 file. Maps the header + offsets
 /// array and the block index; the adjacency region is NEVER mapped as a
-/// whole — callers pull it in through map_extent / ExtentCache. Rejects
+/// whole — callers read it through read_extent / ExtentCache. Rejects
 /// v1 files (no block index to schedule by) with an upgrade hint.
 class BlockedGraph : public MwgMetadata {
  public:
@@ -75,12 +79,12 @@ class BlockedGraph : public MwgMetadata {
     return arc_byte(block_arc_begin_[b + 1]);
   }
 
-  /// Maps the file extent [byte_begin, byte_end) read-only and prefetches
-  /// it as one sequential read. Throws MwgIoError on mmap failure (e.g.
-  /// an address-space limit) — the caller-visible symptom of a budget the
-  /// machine cannot honor.
-  MappedExtent map_extent(std::uint64_t byte_begin,
-                          std::uint64_t byte_end) const;
+  /// Reads the file extent [byte_begin, byte_end) into `out` (room for
+  /// byte_end - byte_begin bytes) with one pread, retried on EINTR.
+  /// Throws MwgIoError naming the path and the byte range when the read
+  /// fails or comes up short (a file truncated after open).
+  void read_extent(std::uint64_t byte_begin, std::uint64_t byte_end,
+                   std::byte* out) const;
 
  private:
   explicit BlockedGraph(ReadOnlyFile file);
@@ -91,11 +95,13 @@ class BlockedGraph : public MwgMetadata {
   MappedExtent index_;
 };
 
-/// LRU cache of mapped extents bounded by an explicit byte budget. The
-/// budget counts requested extent bytes; eviction drops the
-/// least-recently-acquired extent until the cache fits, always keeping
-/// the most recent one resident (a single extent larger than the budget
-/// still loads — it just evicts everything else).
+/// LRU cache of extents, read into buffers the cache owns, bounded by an
+/// explicit byte budget. The budget counts requested extent bytes; a miss
+/// first evicts the least-recently-acquired extents until the new one
+/// fits, then reads it — into an evicted extent's buffer when one is
+/// large enough, into a new buffer otherwise. The most recent extent
+/// always stays resident (a single extent larger than the budget still
+/// loads — it just evicts everything else).
 ///
 /// Pointers returned by acquire() are valid until a LATER acquire()
 /// evicts that extent; the block engine's contract is to finish with a
@@ -103,7 +109,7 @@ class BlockedGraph : public MwgMetadata {
 class ExtentCache {
  public:
   struct Stats {
-    std::uint64_t loads = 0;       ///< extents mapped (cache misses)
+    std::uint64_t loads = 0;       ///< extents read (cache misses)
     std::uint64_t hits = 0;        ///< acquires served resident
     std::uint64_t evictions = 0;   ///< extents dropped for budget
     std::uint64_t bytes_loaded = 0;
@@ -113,9 +119,9 @@ class ExtentCache {
 
   ExtentCache(const BlockedGraph& graph, std::uint64_t budget_bytes);
 
-  /// The extent's first byte, mapping it on miss (and evicting LRU
+  /// The extent's first byte, reading it on miss (after evicting LRU
   /// extents past the budget). A given byte_begin must always be paired
-  /// with the same byte_end.
+  /// with the same byte_end. Throws MwgIoError when the read fails.
   const std::byte* acquire(std::uint64_t byte_begin, std::uint64_t byte_end);
 
   std::uint64_t budget_bytes() const noexcept { return budget_; }
@@ -133,10 +139,15 @@ class ExtentCache {
   }
 
  private:
+  /// An owned read buffer; capacity may exceed the extent it holds.
+  struct Buffer {
+    std::unique_ptr<std::byte[]> data;
+    std::uint64_t capacity = 0;
+  };
   struct Entry {
     std::uint64_t begin;
     std::uint64_t end;
-    MappedExtent extent;
+    Buffer buffer;
   };
 
   const BlockedGraph* graph_;

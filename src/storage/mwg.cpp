@@ -174,6 +174,27 @@ ReadOnlyFile& ReadOnlyFile::operator=(ReadOnlyFile&& other) noexcept {
   return *this;
 }
 
+void ReadOnlyFile::read_at(std::uint64_t byte_begin, std::uint64_t byte_end,
+                           std::byte* out) const {
+  std::uint64_t done = 0;
+  while (byte_begin + done < byte_end) {
+    const ssize_t got =
+        ::pread(fd_, out + done, byte_end - byte_begin - done,
+                static_cast<off_t>(byte_begin + done));
+    if (got > 0) {
+      done += static_cast<std::uint64_t>(got);
+      continue;
+    }
+    if (got < 0 && errno == EINTR) continue;
+    const std::string what =
+        got == 0 ? "the file ends at byte " + std::to_string(byte_begin + done)
+                 : errno_message(errno);
+    throw MwgIoError("read of bytes [" + std::to_string(byte_begin) + "," +
+                     std::to_string(byte_end) + ") of '" + path_ +
+                     "' failed: " + what);
+  }
+}
+
 MappedExtent::MappedExtent(const ReadOnlyFile& file, std::uint64_t byte_begin,
                            std::uint64_t byte_end) {
   MW_REQUIRE(byte_begin < byte_end, "empty extent [" << byte_begin << ","
@@ -214,11 +235,7 @@ MwgMetadata::MwgMetadata(const ReadOnlyFile& file)
              "'" << path_ << "' is not an mwg file: " << file_bytes
                  << " bytes is smaller than the " << kMwgHeaderBytes
                  << "-byte header");
-  if (::pread(file.fd(), &header_, sizeof(MwgHeader), 0) !=
-      static_cast<ssize_t>(sizeof(MwgHeader))) {
-    throw MwgIoError("cannot read the header of '" + path_ +
-                     "': " + errno_message(errno));
-  }
+  file.read_at(0, sizeof(MwgHeader), reinterpret_cast<std::byte*>(&header_));
   MW_REQUIRE(std::memcmp(header_.magic, kMwgMagic, sizeof(kMwgMagic)) == 0,
              "'" << path_ << "' is not an mwg file (bad magic)");
   MW_REQUIRE(header_.endian != byte_swap32(kMwgEndianTag),

@@ -43,10 +43,10 @@
 // loader rejects, never a plausible-looking truncated graph.
 //
 // Reading is shared by both loaders (MappedGraph, BlockedGraph): a
-// ReadOnlyFile owns the descriptor, MappedExtent owns every mapping, and
-// MwgMetadata holds the format's validation rules — one header and size
-// check, one structure scan — so the two loaders cannot disagree about
-// which files are valid or how a bad one is reported.
+// ReadOnlyFile owns the descriptor and its reads, MappedExtent owns every
+// mapping, and MwgMetadata holds the format's validation rules — one
+// header and size check, one structure scan — so the two loaders cannot
+// disagree about which files are valid or how a bad one is reported.
 #pragma once
 
 #include <algorithm>
@@ -246,6 +246,13 @@ class ReadOnlyFile {
   int fd() const noexcept { return fd_; }
   std::uint64_t bytes() const noexcept { return bytes_; }
   const std::string& path() const noexcept { return path_; }
+
+  /// Reads the bytes [byte_begin, byte_end) into `out` with pread,
+  /// retrying on EINTR and continuing partial reads. Throws MwgIoError
+  /// naming the path and the byte range when a read fails or the file
+  /// ends first (it was truncated after open).
+  void read_at(std::uint64_t byte_begin, std::uint64_t byte_end,
+               std::byte* out) const;
 
  private:
   std::string path_;

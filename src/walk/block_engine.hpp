@@ -5,7 +5,8 @@
 // disk: walkers sit in buckets by the vertex block that holds their
 // current position (walker_buckets.hpp), each pass sweeps the non-empty
 // blocks in ascending id order, each block's targets extent is pulled
-// through an LRU ExtentCache (one sequential read per load), and every
+// through an LRU ExtentCache (one sequential pread per load, into a
+// buffer the cache owns and reuses; nothing is mapped), and every
 // resident walker advances until it exits the block or its round budget
 // for the current horizon ends. A walker that exits to a higher block
 // keeps walking in the same pass; one that exits to a lower block waits

@@ -323,6 +323,100 @@ TEST(ExtentCache, OversizedExtentStaysResident) {
   EXPECT_EQ(cache.stats().evictions, blocked.num_blocks() - 1);
 }
 
+TEST(ExtentCache, ReusesBuffersAcrossUnequalExtents) {
+  TempFile file("cache_irregular.mwg");
+  // Cliques 0..7 and 24..31 joined by the path 8..23; 4-vertex blocks.
+  // Blocks 0 and 7 are clique-interior (28 arcs, 112 bytes), blocks 2..4
+  // path-interior (8 arcs, 32 bytes).
+  const Graph g = make_generalized_barbell(8, 16);
+  write_mwg(file.path(), g, 2);
+  const BlockedGraph blocked(file.path());
+  const MappedGraph mapped(file.path());
+  const auto bytes_of = [&](std::uint64_t b) {
+    return blocked.block_byte_end(b) - blocked.block_byte_begin(b);
+  };
+  const std::uint64_t large = bytes_of(0);
+  const std::uint64_t small = bytes_of(2);
+  ASSERT_EQ(large, 112u);
+  ASSERT_EQ(small, 32u);
+  ASSERT_EQ(bytes_of(7), large);
+  ASSERT_EQ(bytes_of(3), small);
+  ASSERT_EQ(bytes_of(4), small);
+  // Room for one large and one small extent, or three small ones.
+  ExtentCache cache(blocked, large + small);
+
+  struct Step {
+    std::uint64_t block;
+    std::uint64_t loads, hits, evictions;
+    int same_buffer_as;  // step whose pointer this one reuses, or -1
+  };
+  constexpr std::uint64_t L1 = 0, L2 = 7, S1 = 2, S2 = 3, S3 = 4;
+  // Hand-computed LRU trace (resident extents listed newest first).
+  const std::vector<Step> trace = {
+      {L1, 1, 0, 0, -1},  // [L1]
+      {S1, 2, 0, 0, -1},  // [S1 L1]
+      {L2, 3, 0, 1, 0},   // evicts L1, reads into its buffer: [L2 S1]
+      {S2, 4, 0, 2, 1},   // evicts S1, same size: [S2 L2]
+      {S3, 5, 0, 3, 0},   // evicts the larger L2, a small extent in a
+                          // large buffer: [S3 S2]
+      {S1, 6, 0, 3, -1},  // three small ones fit: [S1 S3 S2]
+      {S1, 6, 1, 3, 5},   // hit
+      {L1, 7, 1, 5, 0},   // evicts S2 (too small to reuse), then S3,
+                          // whose buffer fits: [L1 S1]
+      {L2, 8, 1, 7, 0},   // evicts S1 (too small), then L1: [L2]
+      {L2, 8, 2, 7, 0},   // hit
+  };
+  std::vector<const std::byte*> pointers;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const Step& step = trace[i];
+    const std::byte* raw = cache.acquire(blocked.block_byte_begin(step.block),
+                                         blocked.block_byte_end(step.block));
+    pointers.push_back(raw);
+    const auto* arcs = reinterpret_cast<const Vertex*>(raw);
+    const std::uint64_t arc0 = blocked.block_arc_begin(step.block);
+    for (std::uint64_t a = arc0; a < blocked.block_arc_begin(step.block + 1);
+         ++a) {
+      ASSERT_EQ(arcs[a - arc0], mapped.targets()[a]) << "step " << i;
+    }
+    EXPECT_EQ(cache.stats().loads, step.loads) << "step " << i;
+    EXPECT_EQ(cache.stats().hits, step.hits) << "step " << i;
+    EXPECT_EQ(cache.stats().evictions, step.evictions) << "step " << i;
+    if (step.same_buffer_as >= 0) {
+      EXPECT_EQ(raw, pointers[step.same_buffer_as]) << "step " << i;
+    }
+  }
+  EXPECT_EQ(cache.stats().bytes_loaded, 4 * large + 4 * small);
+  EXPECT_EQ(cache.stats().resident_bytes, large);
+  EXPECT_EQ(cache.stats().peak_resident_bytes, large + small);
+}
+
+TEST(ExtentCache, StoreTruncatedAfterOpenThrows) {
+  TempFile file("cache_truncated.mwg");
+  const Graph g = make_margulis_expander(16);
+  write_mwg(file.path(), g, 6);
+  const BlockedGraph blocked(file.path());
+  const std::uint64_t last = blocked.num_blocks() - 1;
+  const std::uint64_t begin = blocked.block_byte_begin(last);
+  const std::uint64_t end = blocked.block_byte_end(last);
+  // Cut the file where the last block's targets start: the header and
+  // offsets mapping stays intact, the extent is gone.
+  std::filesystem::resize_file(file.path(), begin);
+  ExtentCache cache(blocked, 1 << 20);
+  try {
+    cache.acquire(begin, end);
+    FAIL() << "acquire past the truncated end returned";
+  } catch (const MwgIoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(file.path()), std::string::npos) << what;
+    EXPECT_NE(what.find("[" + std::to_string(begin) + "," +
+                        std::to_string(end) + ")"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(cache.stats().loads, 0u);
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+}
+
 TEST(WalkerBuckets, StableAscendingOrder) {
   // 4 blocks, lanes 0..5; lane 3 has no rounds left and is never queued.
   constexpr std::uint32_t kNone = WalkerBuckets::kNone;

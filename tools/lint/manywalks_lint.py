@@ -27,12 +27,14 @@ hold. Generic tooling cannot know them, so this checker does:
                             replicated-control protocol (determinism
                             contract v3) and its TSan coverage.
   manywalks-mmap-outside-storage
-                            mmap/munmap/madvise and friends outside
-                            src/storage/ — every mapping and its advice
-                            lifetime is owned by the storage layer
-                            (MappedGraph, ExtentCache); ad-hoc mappings
-                            elsewhere dodge the extent accounting the
-                            out-of-core memory budget relies on.
+                            mmap/munmap/madvise and friends, and
+                            pread/preadv, outside src/storage/ — every
+                            mapping, its advice lifetime and every
+                            adjacency read is owned by the storage layer
+                            (MappedGraph, BlockedGraph, ExtentCache);
+                            ad-hoc mappings or reads elsewhere dodge the
+                            extent accounting the out-of-core memory
+                            budget relies on.
   manywalks-raw-clock       <chrono> / steady_clock / clock_gettime and
                             friends outside src/obs/, src/util/timer.hpp,
                             and bench/ — clock reads are fenced into the
@@ -383,11 +385,12 @@ class MmapOutsideStorageRule(Rule):
     name = RULE_PREFIX + "mmap-outside-storage"
     description = (
         "memory-mapping syscalls (mmap/munmap/mremap/madvise/posix_madvise/"
-        "msync/mincore/mlock/munlock) outside src/storage/ — mappings and "
-        "their advice lifetimes belong to the storage layer (MappedGraph, "
-        "ExtentCache) so the out-of-core budget accounting sees every "
-        "resident byte; map through BlockedGraph::map_extent or MappedGraph "
-        "instead"
+        "msync/mincore/mlock/munlock) and positional reads (pread/preadv) "
+        "outside src/storage/ — mappings, their advice lifetimes and "
+        "adjacency reads belong to the storage layer (MappedGraph, "
+        "BlockedGraph, ExtentCache) so the out-of-core budget accounting "
+        "sees every resident byte; go through ExtentCache::acquire or "
+        "MappedGraph instead"
     )
     EXEMPT_PREFIX = "src/storage/"
     # Call syntax only, and not member calls (`cache.madvise(...)` would be
@@ -395,7 +398,7 @@ class MmapOutsideStorageRule(Rule):
     PATTERN = re.compile(
         r"(?<![\w.])(?:::\s*)?"
         r"(mmap|munmap|mremap|madvise|posix_madvise|msync|mincore|mlock|"
-        r"munlock|mlockall|munlockall)\s*\("
+        r"munlock|mlockall|munlockall|pread|pread64|preadv|preadv2)\s*\("
     )
 
     def check(self, src: SourceFile) -> list[Finding]:
@@ -406,11 +409,11 @@ class MmapOutsideStorageRule(Rule):
             findings.append(
                 self._finding(
                     src, lineno, match.start() + 1,
-                    f"'{match.group(1)}' outside src/storage/: mappings and "
-                    "madvise lifetimes are owned by the storage layer so the "
-                    "out-of-core memory budget accounts for every resident "
-                    "extent; go through MappedGraph or "
-                    "BlockedGraph::map_extent",
+                    f"'{match.group(1)}' outside src/storage/: mappings, "
+                    "madvise lifetimes and adjacency reads are owned by the "
+                    "storage layer so the out-of-core memory budget accounts "
+                    "for every resident extent; go through MappedGraph or "
+                    "ExtentCache::acquire",
                 )
             )
         return findings

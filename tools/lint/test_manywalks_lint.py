@@ -253,16 +253,26 @@ class MmapOutsideStorageRuleTest(unittest.TestCase):
                         "src/storage/block_store.cpp"):
             self.assertEqual(rules_fired(text, relpath=relpath), set())
 
+    def test_fires_on_pread_outside_storage(self):
+        fired = rules_fired(
+            "ssize_t got = ::pread(fd, buf, n, off);\n",
+            relpath="src/walk/block_engine.cpp")
+        self.assertIn("manywalks-mmap-outside-storage", fired)
+        fired = rules_fired("preadv(fd, iov, 2, off);\n",
+                            relpath="bench/bench_io.cpp")
+        self.assertIn("manywalks-mmap-outside-storage", fired)
+
     def test_quiet_on_the_fixed_form(self):
         fixed = ("const std::byte* p = cache.acquire(begin, end);\n"
-                 "auto extent = graph.map_extent(begin, end);\n")
+                 "cache.acquire(begin, end);\n")
         self.assertEqual(
             rules_fired(fixed, relpath="src/walk/block_engine.cpp"), set())
 
     def test_quiet_on_identifiers_and_member_calls(self):
         ok = ("int remapped = 0;\n"
               "store.mmap(region);\n"           # repo-owned wrapper method
-              "auto x = mmap_like_helper(y);\n")
+              "auto x = mmap_like_helper(y);\n"
+              "auto s = spread_starts(g, k, 0);\n")
         self.assertEqual(
             rules_fired(ok, relpath="src/walk/block_engine.cpp"), set())
 
