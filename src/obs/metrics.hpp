@@ -131,31 +131,19 @@ class MetricsRegistry {
   /// Index-ordered merge of one worker's batched counters.
   void merge(const WorkerCounters& worker);
 
-  // --- dynamic registration (bench/tests extension metrics) ---
-  std::size_t register_metric(std::string name, MetricKind kind);
-  void add_id(std::size_t id, std::uint64_t delta);
-  std::uint64_t value_id(std::size_t id) const;
-
   std::uint64_t value(Metric metric) const {
     return values_[static_cast<std::size_t>(metric)];
   }
 
-  /// Fixed metrics in enum order, then dynamic metrics in registration
-  /// order — a deterministic snapshot for the run manifest.
+  /// Every metric in enum order — a deterministic snapshot for the run
+  /// manifest.
   std::vector<MetricSnapshot> snapshot() const;
 
   void reset();
 
  private:
-  struct Dynamic {
-    std::string name;
-    MetricKind kind;
-    std::uint64_t value = 0;
-    std::vector<std::uint64_t> buckets;
-  };
   std::array<std::uint64_t, kMetricCount> values_{};
   std::vector<std::vector<std::uint64_t>> histograms_;  // per fixed histogram
-  std::vector<Dynamic> dynamic_;
 };
 
 }  // namespace manywalks::obs

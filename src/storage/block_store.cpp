@@ -25,20 +25,6 @@ BlockedGraph::BlockedGraph(ReadOnlyFile file)
                  << "; out-of-core block scheduling needs the v2 block "
                     "index — upgrade with `manywalks graph convert --in="
                  << path_ << " --out=...`");
-  // Metadata mapping 1: header + offsets (never the targets).
-  meta_ = MappedExtent(file_, 0, mwg_targets_begin(header_.num_vertices));
-  offsets_ = reinterpret_cast<const std::uint64_t*>(meta_.data() +
-                                                    mwg_offsets_begin());
-  // Metadata mapping 2: the tail block index.
-  index_ = MappedExtent(
-      file_, mwg_block_index_begin(header_.num_vertices, header_.num_arcs),
-      file_bytes_);
-  block_arc_begin_ = reinterpret_cast<const std::uint64_t*>(index_.data());
-  block_max_degree_ = reinterpret_cast<const Vertex*>(
-      index_.data() + (num_blocks() + 1) * sizeof(std::uint64_t));
-  // Structure scan over the resident metadata — never the (unmapped)
-  // targets.
-  check_structure();
 }
 
 void BlockedGraph::read_extent(std::uint64_t byte_begin,

@@ -3,9 +3,9 @@
 //
 // MappedGraph (mapped_graph.hpp) maps the WHOLE file and trusts the page
 // cache; once the CSR outgrows memory the walk hot path degenerates to
-// random 4 KB faults. BlockedGraph instead maps only the metadata — the
-// header + offsets array up front and the v2 block index at the tail —
-// and hands out adjacency as explicit extents:
+// random 4 KB faults. BlockedGraph instead maps nothing: it keeps the
+// metadata MwgMetadata read at open (header, offsets array, v2 block
+// index) and hands out adjacency as explicit extents:
 //
 //   * `read_extent(byte_begin, byte_end, out)` reads one file extent into
 //     a caller-owned buffer with one sequential pread — no mapping, no
@@ -19,7 +19,9 @@
 //
 // BlockedGraph validates a file exactly as MappedGraph does — both run
 // MwgMetadata's header check and structure scan — and adds only the
-// requirement of a v2 block index.
+// requirement of a v2 block index. A store truncated after open keeps
+// every metadata lookup working; only the extent reads past the new end
+// fail, with MwgIoError.
 //
 // The budget shapes ONLY eviction — never which extents are requested in
 // what order — which is what keeps the block engine's schedule (and so
@@ -43,10 +45,10 @@
 
 namespace manywalks {
 
-/// Metadata-resident handle on an mwg v2 file. Maps the header + offsets
-/// array and the block index; the adjacency region is NEVER mapped as a
-/// whole — callers read it through read_extent / ExtentCache. Rejects
-/// v1 files (no block index to schedule by) with an upgrade hint.
+/// Metadata-resident handle on an mwg v2 file: the header, offsets array
+/// and block index in memory, the adjacency region read on demand through
+/// read_extent / ExtentCache — nothing is mapped. Rejects v1 files (no
+/// block index to schedule by) with an upgrade hint.
 class BlockedGraph : public MwgMetadata {
  public:
   explicit BlockedGraph(const std::string& path);
@@ -90,9 +92,6 @@ class BlockedGraph : public MwgMetadata {
   explicit BlockedGraph(ReadOnlyFile file);
 
   ReadOnlyFile file_;
-  // Two metadata mappings: [0, targets_begin) and the tail block index.
-  MappedExtent meta_;
-  MappedExtent index_;
 };
 
 /// LRU cache of extents, read into buffers the cache owns, bounded by an

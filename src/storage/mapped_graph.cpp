@@ -1,7 +1,11 @@
 #include "storage/mapped_graph.hpp"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <cstddef>
+#include <system_error>
 #include <vector>
 
 #include "util/check.hpp"
@@ -14,33 +18,24 @@ MappedGraph::MappedGraph(const std::string& path, Validate validate)
 // The descriptor closes when the delegating constructor returns; the
 // mapping keeps its own reference to the file.
 MappedGraph::MappedGraph(const ReadOnlyFile& file, Validate validate)
-    : MwgMetadata(file), map_(file, 0, file.bytes()) {
-  const std::byte* bytes = map_.data();
-  offsets_ =
-      reinterpret_cast<const std::uint64_t*>(bytes + mwg_offsets_begin());
-  targets_ = reinterpret_cast<const Vertex*>(
-      bytes + mwg_targets_begin(header_.num_vertices));
-  if (block_bits_ > 0) {
-    const std::uint64_t index_begin =
-        mwg_block_index_begin(header_.num_vertices, header_.num_arcs);
-    block_arc_begin_ =
-        reinterpret_cast<const std::uint64_t*>(bytes + index_begin);
-    block_max_degree_ = reinterpret_cast<const Vertex*>(
-        bytes + index_begin + (num_blocks() + 1) * sizeof(std::uint64_t));
+    : MwgMetadata(file) {
+  void* base =
+      ::mmap(nullptr, file_bytes_, PROT_READ, MAP_PRIVATE, file.fd(), 0);
+  if (base == MAP_FAILED) {
+    const std::error_code err(errno, std::generic_category());
+    throw MwgIoError("mmap of '" + path_ + "' failed: " + err.message());
   }
-  check_structure();
-
+  map_ = {base, Unmap{file_bytes_}};
   const std::uint64_t targets_byte_begin =
       mwg_targets_begin(header_.num_vertices);
   const std::uint64_t targets_byte_end =
       targets_byte_begin + header_.num_arcs * sizeof(Vertex);
+  targets_ = reinterpret_cast<const Vertex*>(
+      static_cast<const std::byte*>(base) + targets_byte_begin);
   if (validate == Validate::kDeep) {
     // The deep scan walks the adjacency region front to back; let the
-    // kernel read ahead aggressively for this one pass. Advice is
-    // scoped to the targets extent — a mapping-wide flip would also
-    // reshape the offsets/index pages other subsystems (the block
-    // scheduler above all) rely on streaming sequentially.
-    advise(targets_byte_begin, targets_byte_end, ExtentAdvice::kSequential);
+    // kernel read ahead aggressively for this one pass.
+    advise(targets_byte_begin, targets_byte_end, POSIX_MADV_SEQUENTIAL);
     const std::uint64_t n = header_.num_vertices;
     std::uint64_t loops = 0;
     for (std::uint64_t v = 0; v < n; ++v) {
@@ -59,17 +54,21 @@ MappedGraph::MappedGraph(const ReadOnlyFile& file, Validate validate)
   }
 
   // The walk hot path touches arcs in random order; tell the kernel not
-  // to waste read-ahead on sequential speculation. Scoped to the targets
-  // extent: the offsets (and v2 block index) are scanned linearly and
-  // keep default readahead.
-  advise(targets_byte_begin, targets_byte_end, ExtentAdvice::kRandom);
+  // to waste read-ahead on sequential speculation.
+  advise(targets_byte_begin, targets_byte_end, POSIX_MADV_RANDOM);
 }
 
 void MappedGraph::advise(std::uint64_t byte_begin, std::uint64_t byte_end,
-                         ExtentAdvice advice) const noexcept {
-  map_.advise(byte_begin, byte_end,
-              advice == ExtentAdvice::kRandom ? POSIX_MADV_RANDOM
-                                              : POSIX_MADV_SEQUENTIAL);
+                         int posix_advice) const noexcept {
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  byte_begin = (byte_begin / page) * page;
+  if (byte_begin >= byte_end) return;
+  ::posix_madvise(static_cast<char*>(map_.get()) + byte_begin,
+                  byte_end - byte_begin, posix_advice);
+}
+
+void MappedGraph::Unmap::operator()(void* base) const noexcept {
+  ::munmap(base, bytes);
 }
 
 Graph to_graph(const MappedGraph& mapped, bool validate) {

@@ -1,31 +1,37 @@
 // Memory-mapped, zero-copy loader for mwg v1/v2 files (storage/mwg.hpp).
 //
-// MappedGraph maps the whole file read-only and exposes the CSR arrays as
-// spans pointing INTO the mapping — nothing is copied to the heap, and the
-// kernel pages adjacency in on demand, so `manywalks graph info` on a
-// 10^6-vertex file never faults the targets region at all.
+// MappedGraph maps the whole file read-only and exposes the targets array
+// as a span pointing INTO the mapping — the adjacency is never copied to
+// the heap, and the kernel pages it in on demand, so `manywalks graph
+// info` on a 10^6-vertex file never faults the targets region at all. The
+// offsets array and v2 block index are the O(n) copies MwgMetadata read
+// at open.
 //
 // Lifetime/alignment rules (docs/ARCHITECTURE.md "Storage"):
-//   * the mapping lives exactly as long as the MappedGraph (a move-only
-//     MappedExtent); every span, pointer, and substrate() handed out
-//     dangles once it is destroyed — the same outlives-the-engine contract
-//     as a Graph behind CsrSubstrate;
-//   * the 64-byte header keeps the offsets array 8-byte aligned and the
-//     targets array 4-byte aligned in any mapping (mmap bases are
-//     page-aligned), so the spans are directly dereferenceable;
+//   * the mapping and the metadata live exactly as long as the
+//     MappedGraph (move-only); every span, pointer, and substrate() handed
+//     out dangles once it is destroyed — the same outlives-the-engine
+//     contract as a Graph behind CsrSubstrate;
+//   * the 64-byte header keeps the targets array 4-byte aligned in the
+//     mapping (mmap bases are page-aligned), so the span is directly
+//     dereferenceable;
+//   * a file truncated after open leaves the metadata intact, but a read
+//     of a target past the new end faults (SIGBUS): stores must not be
+//     rewritten in place while mapped;
 //   * files are native-endian; a foreign-endian file is rejected at load
 //     via the header tag, never silently misread.
 //
 // Validation: loading always runs the checks MwgMetadata (storage/mwg.hpp)
 // shares with BlockedGraph — the header and exact file size, then the
-// structure scan of the offsets array and the v2 block index — O(n) over
-// pages the stats queries touch anyway. Validate::kDeep additionally
+// structure scan of the offsets array and the v2 block index it read —
+// O(n), never the targets. Validate::kDeep additionally
 // checks every target is in range and every row is sorted — O(m), pages
 // in the whole adjacency, and is meant for foreign files (`manywalks
 // graph info --deep`), not the hot load path.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -34,15 +40,6 @@
 #include "storage/mwg.hpp"
 
 namespace manywalks {
-
-/// Page-cache advice for a byte extent of MappedGraph's mapping. Advice is
-/// scoped per extent so one access pattern never silently reshapes another
-/// region's readahead — manywalks-lint bans direct mmap/madvise outside
-/// src/storage/.
-enum class ExtentAdvice {
-  kRandom,      ///< no readahead (pointer-chasing access)
-  kSequential,  ///< aggressive readahead (one front-to-back scan)
-};
 
 class MappedGraph : public MwgMetadata {
  public:
@@ -75,8 +72,8 @@ class MappedGraph : public MwgMetadata {
   /// zero-copy off the file with bit-identical streams.
   /// Requires min_degree >= 1 (walkable), like every substrate.
   CsrSubstrate substrate() const {
-    return CsrSubstrate(offsets_, targets_, num_vertices(), min_degree(),
-                        max_degree());
+    return CsrSubstrate(offsets_.data(), targets_, num_vertices(),
+                        min_degree(), max_degree());
   }
 
   std::uint32_t version() const noexcept { return header_.version; }
@@ -85,22 +82,28 @@ class MappedGraph : public MwgMetadata {
   bool has_block_index() const noexcept { return block_bits_ > 0; }
   /// First arc of each block; num_blocks()+1 entries, last == num_arcs.
   std::span<const std::uint64_t> block_arc_begin() const noexcept {
-    return {block_arc_begin_,
-            static_cast<std::size_t>(block_bits_ > 0 ? num_blocks() + 1 : 0)};
+    return block_arc_begin_;
   }
   std::span<const Vertex> block_max_degree() const noexcept {
-    return {block_max_degree_, static_cast<std::size_t>(num_blocks())};
+    return block_max_degree_;
   }
 
  private:
   MappedGraph(const ReadOnlyFile& file, Validate validate);
 
-  /// Applies page-cache advice to the byte extent [byte_begin, byte_end)
-  /// of the file (page-aligned and clamped; best-effort).
+  /// posix_madvise over the file bytes [byte_begin, byte_end), widened
+  /// down to a page boundary. Scoped to one extent so one access pattern
+  /// never reshapes another region's readahead. Best effort: failures are
+  /// ignored.
   void advise(std::uint64_t byte_begin, std::uint64_t byte_end,
-              ExtentAdvice advice) const noexcept;
+              int posix_advice) const noexcept;
 
-  MappedExtent map_;  // the whole file
+  /// The mapping's deleter: munmap of the whole file.
+  struct Unmap {
+    std::uint64_t bytes;
+    void operator()(void* base) const noexcept;
+  };
+  std::unique_ptr<void, Unmap> map_;  // the whole file, from byte 0
   const Vertex* targets_ = nullptr;
 };
 

@@ -1,7 +1,6 @@
 #include "storage/mwg.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -32,8 +31,14 @@ std::string errno_message(int err) {
   return std::error_code(err, std::generic_category()).message();
 }
 
-std::uint64_t page_size() noexcept {
-  return static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+/// `count` elements of T read from the file bytes starting at byte_begin.
+template <class T>
+std::vector<T> read_array(const ReadOnlyFile& file, std::uint64_t byte_begin,
+                          std::uint64_t count) {
+  std::vector<T> out(count);
+  file.read_at(byte_begin, byte_begin + count * sizeof(T),
+               reinterpret_cast<std::byte*>(out.data()));
+  return out;
 }
 
 }  // namespace
@@ -186,50 +191,43 @@ void ReadOnlyFile::read_at(std::uint64_t byte_begin, std::uint64_t byte_end,
       continue;
     }
     if (got < 0 && errno == EINTR) continue;
-    const std::string what =
-        got == 0 ? "the file ends at byte " + std::to_string(byte_begin + done)
-                 : errno_message(errno);
+    std::string what;
+    struct stat st{};
+    if (got < 0) {
+      what = errno_message(errno);
+    } else if (::fstat(fd_, &st) == 0) {
+      // End of file inside the range: the file shrank after open. Name
+      // its size now, not the offset where the read stopped.
+      what = "the file is now " + std::to_string(st.st_size) + " bytes";
+    } else {
+      what = "the file ended early";
+    }
     throw MwgIoError("read of bytes [" + std::to_string(byte_begin) + "," +
                      std::to_string(byte_end) + ") of '" + path_ +
                      "' failed: " + what);
   }
 }
 
-MappedExtent::MappedExtent(const ReadOnlyFile& file, std::uint64_t byte_begin,
-                           std::uint64_t byte_end) {
-  MW_REQUIRE(byte_begin < byte_end, "empty extent [" << byte_begin << ","
-                                                     << byte_end << ")");
-  const std::uint64_t page = page_size();
-  const std::uint64_t map_begin = (byte_begin / page) * page;
-  const std::uint64_t len = byte_end - map_begin;
-  void* base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, file.fd(),
-                      static_cast<off_t>(map_begin));
-  if (base == MAP_FAILED) {
-    const int err = errno;
-    throw MwgIoError("mmap of bytes [" + std::to_string(byte_begin) + "," +
-                     std::to_string(byte_end) + ") of '" + file.path() +
-                     "' failed: " + errno_message(err));
-  }
-  mapping_ = {base, detail::Unmap{len}};
-  lead_ = byte_begin - map_begin;
-}
-
-void detail::Unmap::operator()(void* base) const noexcept {
-  ::munmap(base, bytes);
-}
-
-void MappedExtent::advise(std::uint64_t begin, std::uint64_t end,
-                          int posix_advice) const noexcept {
-  const std::uint64_t page = page_size();
-  begin = ((lead_ + begin) / page) * page;
-  end = std::min(lead_ + end, mapped_bytes());
-  if (begin >= end) return;
-  ::posix_madvise(static_cast<char*>(mapping_.get()) + begin, end - begin,
-                  posix_advice);
-}
-
 MwgMetadata::MwgMetadata(const ReadOnlyFile& file)
     : path_(file.path()), file_bytes_(file.bytes()) {
+  read_header(file);
+  // The header check bounded n and the index by the file size, so these
+  // reads stay inside it.
+  offsets_ = read_array<std::uint64_t>(file, mwg_offsets_begin(),
+                                       header_.num_vertices + 1);
+  if (block_bits_ > 0) {
+    const std::uint64_t index_begin =
+        mwg_block_index_begin(header_.num_vertices, header_.num_arcs);
+    block_arc_begin_ =
+        read_array<std::uint64_t>(file, index_begin, num_blocks() + 1);
+    block_max_degree_ = read_array<Vertex>(
+        file, index_begin + (num_blocks() + 1) * sizeof(std::uint64_t),
+        num_blocks());
+  }
+  check_structure();
+}
+
+void MwgMetadata::read_header(const ReadOnlyFile& file) {
   const std::uint64_t file_bytes = file.bytes();
   MW_REQUIRE(file_bytes >= kMwgHeaderBytes,
              "'" << path_ << "' is not an mwg file: " << file_bytes

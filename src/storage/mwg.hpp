@@ -1,5 +1,5 @@
 // The `mwg` on-disk graph format: binary CSR with a fixed 64-byte
-// header, written once and memory-mapped forever after.
+// header, written once and only read after.
 //
 // Layout (all fields in the PRODUCER's native byte order; the header's
 // endianness tag lets a consumer on a foreign-endian machine reject the
@@ -43,17 +43,18 @@
 // loader rejects, never a plausible-looking truncated graph.
 //
 // Reading is shared by both loaders (MappedGraph, BlockedGraph): a
-// ReadOnlyFile owns the descriptor and its reads, MappedExtent owns every
-// mapping, and MwgMetadata holds the format's validation rules — one
-// header and size check, one structure scan — so the two loaders cannot
-// disagree about which files are valid or how a bad one is reported.
+// ReadOnlyFile owns the descriptor and its reads, and MwgMetadata reads
+// the header, offsets and block index into memory it owns and holds the
+// format's validation rules — one header and size check, one structure
+// scan — so the two loaders cannot disagree about which files are valid
+// or how a bad one is reported. Only MappedGraph maps the file, for its
+// targets.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -249,8 +250,9 @@ class ReadOnlyFile {
 
   /// Reads the bytes [byte_begin, byte_end) into `out` with pread,
   /// retrying on EINTR and continuing partial reads. Throws MwgIoError
-  /// naming the path and the byte range when a read fails or the file
-  /// ends first (it was truncated after open).
+  /// naming the path and the byte range when a read fails, or when the
+  /// file ends first (it was truncated after open) — then with the
+  /// file's current size.
   void read_at(std::uint64_t byte_begin, std::uint64_t byte_end,
                std::byte* out) const;
 
@@ -260,53 +262,14 @@ class ReadOnlyFile {
   std::uint64_t bytes_ = 0;
 };
 
-namespace detail {
-/// MappedExtent's deleter: munmap of the whole mapping.
-struct Unmap {
-  std::uint64_t bytes = 0;
-  void operator()(void* base) const noexcept;
-};
-}  // namespace detail
-
-/// One read-only mapping of the file extent [byte_begin, byte_end): the one
-/// owner of every mmap/munmap in the tree. Move-only RAII; `data()` points
-/// at `byte_begin` (the mapping itself starts on the page boundary at or
-/// below it). A new extent carries no page-cache advice.
-class MappedExtent {
- public:
-  MappedExtent() = default;
-  /// Throws MwgIoError on mmap failure (e.g. an address-space limit).
-  MappedExtent(const ReadOnlyFile& file, std::uint64_t byte_begin,
-               std::uint64_t byte_end);
-
-  bool empty() const noexcept { return mapping_ == nullptr; }
-  /// First byte of the requested extent (file offset `byte_begin`).
-  const std::byte* data() const noexcept {
-    return static_cast<const std::byte*>(mapping_.get()) + lead_;
-  }
-  /// Bytes actually mapped (requested extent plus page-alignment lead).
-  std::uint64_t mapped_bytes() const noexcept {
-    return mapping_.get_deleter().bytes;
-  }
-
-  /// posix_madvise over [begin, end) counted from data(), widened down to
-  /// a page boundary and clamped to the mapping. Best effort: failures are
-  /// ignored.
-  void advise(std::uint64_t begin, std::uint64_t end,
-              int posix_advice) const noexcept;
-
- private:
-  std::unique_ptr<void, detail::Unmap> mapping_;
-  std::uint64_t lead_ = 0;  // byte_begin - page-aligned mapping start
-};
-
 /// What both loaders keep of an open mwg file: its path and size, the
-/// validated header, and views of the offsets array and the v2 block index
-/// inside the loader's own mappings. MappedGraph and BlockedGraph derive
-/// from it, so the format's rules are checked in one place: the
-/// constructor checks the header and the file size, check_structure()
-/// scans the offsets and the block index. A violated rule throws
-/// std::invalid_argument naming the file and the rule.
+/// validated header, and the offsets array and v2 block index, read into
+/// vectors this class owns. MappedGraph and BlockedGraph derive from it,
+/// so the format's rules are checked in one place: the constructor checks
+/// the header and the file size, reads the metadata and scans it. A
+/// violated rule throws std::invalid_argument naming the file and the
+/// rule. The metadata is memory of its own, so a file that changes after
+/// open never changes (or faults) an offset or index lookup.
 class MwgMetadata {
  public:
   Vertex num_vertices() const noexcept {
@@ -319,11 +282,8 @@ class MwgMetadata {
   Vertex degree(Vertex v) const noexcept {
     return static_cast<Vertex>(offsets_[v + 1] - offsets_[v]);
   }
-  /// The offsets array (n+1 entries), a view into the loader's mapping —
-  /// valid only while the loader is alive.
-  std::span<const std::uint64_t> offsets() const noexcept {
-    return {offsets_, static_cast<std::size_t>(header_.num_vertices) + 1};
-  }
+  /// The offsets array (n+1 entries) — valid while the loader is alive.
+  std::span<const std::uint64_t> offsets() const noexcept { return offsets_; }
 
   /// 0 on v1 files (no block index).
   std::uint32_t block_bits() const noexcept { return block_bits_; }
@@ -336,25 +296,29 @@ class MwgMetadata {
   std::uint64_t file_bytes() const noexcept { return file_bytes_; }
 
  protected:
-  /// Reads the header of `file` and checks magic, endianness tag, version,
-  /// the 32-bit vertex limit, the v2 block_bits and reserved field, and
-  /// the exact file size — derived from the file, so a hostile header
-  /// cannot overflow the arithmetic.
+  /// Reads and validates the header, the offsets array and, on v2, the
+  /// block index of `file`. O(n); never reads the targets.
   explicit MwgMetadata(const ReadOnlyFile& file);
-
-  /// Structure scan, once the loader has bound offsets_ (and, on v2, the
-  /// block index views): offsets start at 0, end at num_arcs and never
-  /// decrease; the degree range matches the header; every block-index
-  /// entry matches the offsets. O(n); never touches the targets.
-  void check_structure() const;
 
   std::string path_;
   std::uint64_t file_bytes_ = 0;
   MwgHeader header_{};
   std::uint32_t block_bits_ = 0;  // 0 = v1, no block index
-  const std::uint64_t* offsets_ = nullptr;
-  const std::uint64_t* block_arc_begin_ = nullptr;
-  const Vertex* block_max_degree_ = nullptr;
+  std::vector<std::uint64_t> offsets_;
+  std::vector<std::uint64_t> block_arc_begin_;  // v2: num_blocks() + 1
+  std::vector<Vertex> block_max_degree_;        // v2: num_blocks()
+
+ private:
+  /// Reads the header and checks magic, endianness tag, version, the
+  /// 32-bit vertex limit, the v2 block_bits and reserved field, and the
+  /// exact file size — derived from the file, so a hostile header cannot
+  /// overflow the arithmetic (or size the reads below past the file).
+  void read_header(const ReadOnlyFile& file);
+
+  /// Structure scan: offsets start at 0, end at num_arcs and never
+  /// decrease; the degree range matches the header; every block-index
+  /// entry matches the offsets.
+  void check_structure() const;
 };
 
 }  // namespace manywalks

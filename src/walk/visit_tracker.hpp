@@ -47,7 +47,6 @@ class WordVisitTracker {
 
   Vertex num_visited() const { return num_visited_; }
   Vertex num_vertices() const { return num_vertices_; }
-  bool all_visited() const { return num_visited_ == num_vertices_; }
 
  private:
   // The engines' inner loops keep the word pointer and visit counter in

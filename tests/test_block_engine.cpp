@@ -399,7 +399,7 @@ TEST(ExtentCache, StoreTruncatedAfterOpenThrows) {
   const std::uint64_t begin = blocked.block_byte_begin(last);
   const std::uint64_t end = blocked.block_byte_end(last);
   // Cut the file where the last block's targets start: the header and
-  // offsets mapping stays intact, the extent is gone.
+  // offsets stay intact, the extent is gone.
   std::filesystem::resize_file(file.path(), begin);
   ExtentCache cache(blocked, 1 << 20);
   try {
@@ -412,9 +412,38 @@ TEST(ExtentCache, StoreTruncatedAfterOpenThrows) {
                         std::to_string(end) + ")"),
               std::string::npos)
         << what;
+    // The file's size now, not the offset where the read stopped.
+    EXPECT_NE(what.find("the file is now " + std::to_string(begin) +
+                        " bytes"),
+              std::string::npos)
+        << what;
   }
   EXPECT_EQ(cache.stats().loads, 0u);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
+}
+
+// A store cut to 4 KiB after open, well inside its offsets array: the
+// metadata BlockedGraph read at open still answers every lookup, and only
+// the extent read fails.
+TEST(ExtentCache, StoreShrunkBelowMetadataKeepsMetadata) {
+  TempFile file("cache_shrunk.mwg");
+  const Graph g = make_margulis_expander(64);  // n = 4096, 32 KiB offsets
+  write_mwg(file.path(), g, 9);                // 8 blocks of 512 vertices
+  const BlockedGraph blocked(file.path());
+  const std::uint64_t last = blocked.num_blocks() - 1;
+  const Vertex tail = blocked.num_vertices() - 1;
+  const std::uint64_t arc_begin = blocked.block_arc_begin(last);
+  const Vertex max_degree = blocked.block_max_degree(last);
+  const Vertex degree = blocked.degree(tail);
+  std::filesystem::resize_file(file.path(), 4096);
+  EXPECT_EQ(blocked.block_arc_begin(last), arc_begin);
+  EXPECT_EQ(blocked.block_max_degree(last), max_degree);
+  EXPECT_EQ(blocked.degree(tail), degree);
+  EXPECT_EQ(degree, g.degree(tail));
+  ExtentCache cache(blocked, 1 << 20);
+  EXPECT_THROW(cache.acquire(blocked.block_byte_begin(last),
+                             blocked.block_byte_end(last)),
+               MwgIoError);
 }
 
 TEST(WalkerBuckets, StableAscendingOrder) {

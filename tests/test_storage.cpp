@@ -5,6 +5,7 @@
 // contract of the shallow (info) load path at 10^6 vertices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -327,6 +328,30 @@ TEST(MwgIoErrors, FullDeviceFailsAtTheFirstRefusedRow) {
 // bypass the CLI's catch).
 TEST(MwgIoErrors, IsARuntimeError) {
   EXPECT_THROW(MappedGraph{"/nonexistent-dir/x.mwg"}, std::runtime_error);
+}
+
+// The offsets array and block index are read at open into memory the
+// MappedGraph owns: a store cut short afterwards still answers every
+// metadata query. (Its targets stay mapped, so they are not read here.)
+TEST(MwgIoErrors, MetadataSurvivesTruncationAfterOpen) {
+  TempFile file("shrunk.mwg");
+  const Graph g = make_margulis_expander(64);  // n = 4096
+  write_mwg(file.path(), g, 9);                // 8 blocks of 512 vertices
+  const MappedGraph mapped(file.path());
+  const std::vector<std::uint64_t> offsets(mapped.offsets().begin(),
+                                           mapped.offsets().end());
+  const std::vector<std::uint64_t> begins(mapped.block_arc_begin().begin(),
+                                          mapped.block_arc_begin().end());
+  std::filesystem::resize_file(file.path(), 4096);
+  ASSERT_TRUE(std::equal(offsets.begin(), offsets.end(),
+                         mapped.offsets().begin(), mapped.offsets().end()));
+  ASSERT_TRUE(std::equal(begins.begin(), begins.end(),
+                         mapped.block_arc_begin().begin(),
+                         mapped.block_arc_begin().end()));
+  const Vertex last = mapped.num_vertices() - 1;
+  EXPECT_EQ(mapped.degree(last), g.degree(last));
+  EXPECT_EQ(mapped.block_arc_begin()[mapped.num_blocks() - 1],
+            g.offsets()[(mapped.num_blocks() - 1) << 9]);
 }
 
 // --- mmap-vs-in-core engine bit identity -------------------------------------
