@@ -1,6 +1,6 @@
 // P1 — google-benchmark suite for the simulation engine itself: raw walk
 // stepping throughput per family, the seed per-call cover path vs the
-// batched WalkEngine hot path (steps/second), k-walk round cost,
+// batched walk-engine hot path (steps/second), k-walk round cost,
 // single-walk hitting samples, and Monte-Carlo thread scaling. These
 // numbers justify the experiment harness's feasible scales (steps/second
 // on a laptop).
@@ -56,7 +56,7 @@ namespace {
 using namespace manywalks;
 
 // ---------------------------------------------------------------------------
-// Reference: the seed's per-call cover loop (pre-WalkEngine), the baseline
+// Reference: the seed's per-call cover loop (pre-engine), the baseline
 // side of the steps/second comparison, with a std::vector<bool> visited set.
 // ---------------------------------------------------------------------------
 CoverSample seed_path_cover(const Graph& g, std::span<const Vertex> starts,
@@ -222,7 +222,7 @@ BENCHMARK(BM_StepMargulis);
 BENCHMARK(BM_StepComplete);
 
 // ---------------------------------------------------------------------------
-// Seed per-call path vs batched WalkEngine, k-token partial-cover trials on
+// Seed per-call path vs the batched walk engine, k-token partial-cover trials on
 // the three headline instances. items/second == token-steps/second, so the
 // two sides are directly comparable.
 // ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ void BM_CoverPath(benchmark::State& state, const Graph& g, bool batched) {
   const auto target =
       static_cast<Vertex>(static_cast<double>(g.num_vertices()) * 0.9);
   Rng rng(7);
-  WalkEngine engine(g);
+  WalkEngineT engine{CsrSubstrate(g)};
   std::uint64_t token_steps = 0;
   for (auto _ : state) {
     CoverSample sample;
@@ -446,7 +446,7 @@ void report_paired_throughput() {
     const std::vector<Vertex> starts(kTokens, 0);
     const auto target =
         static_cast<Vertex>(static_cast<double>(g.num_vertices()) * 0.9);
-    WalkEngine engine(g);
+    WalkEngineT engine{CsrSubstrate(g)};
     // Warm both paths (page in the scratch arrays) outside the timing.
     {
       Rng warm(kSeed);
@@ -568,7 +568,7 @@ std::vector<Bench4Row> run_bench4() {
     // The acceptance instance: a 10^6-vertex 8-regular expander whose CSR
     // arrays dwarf L2 — the workload the prefetch pipeline exists for.
     const Graph g = make_margulis_expander(1024);  // n = 2^20
-    WalkEngine engine(g);
+    WalkEngineT engine{CsrSubstrate(g)};
     for (unsigned k : ks) {
       push(measure_lane_vs_legacy("csr-expander", "csr", g.num_vertices(),
                                   engine, k, 3'000'000));
@@ -576,7 +576,7 @@ std::vector<Bench4Row> run_bench4() {
   }
   {
     const Graph g = make_cycle(1u << 20);
-    WalkEngine engine(g);
+    WalkEngineT engine{CsrSubstrate(g)};
     for (unsigned k : ks) {
       push(measure_lane_vs_legacy("csr-cycle", "csr", g.num_vertices(),
                                   engine, k, 6'000'000));
@@ -691,7 +691,7 @@ std::vector<ScaleRow> run_scale() {
   const std::vector<Vertex> starts(kK, 0);
   constexpr std::uint64_t kSeed = 0x5ca1eULL;
   constexpr std::uint64_t kTrials = 6;
-  WalkEngine engine(g);
+  WalkEngineT engine{CsrSubstrate(g)};
 
   std::printf("sharded strong scaling (expander n=%u, k=%u, 90%% coverage, "
               "%llu trials):\n",
@@ -870,7 +870,7 @@ std::vector<ObsRow> run_obs(obs::MetricsRegistry& registry,
   };
   {
     const Graph g = make_margulis_expander(1024);  // n = 2^20
-    WalkEngine engine(g);
+    WalkEngineT engine{CsrSubstrate(g)};
     for (unsigned k : ks) {
       push(measure_obs_overhead("csr-expander", "csr", g.num_vertices(),
                                 engine, k, 3'000'000, registry,

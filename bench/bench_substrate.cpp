@@ -44,7 +44,7 @@ void run_walk_rounds(benchmark::State& state, Engine& engine) {
 
 void BM_WalkCsrCycle(benchmark::State& state) {
   static const Graph g = make_cycle(1 << 20);
-  WalkEngine engine(g);
+  WalkEngineT engine{CsrSubstrate(g)};
   run_walk_rounds(state, engine);
 }
 void BM_WalkImplicitCycle(benchmark::State& state) {
@@ -53,7 +53,7 @@ void BM_WalkImplicitCycle(benchmark::State& state) {
 }
 void BM_WalkCsrTorus(benchmark::State& state) {
   static const Graph g = make_grid_2d(1024);
-  WalkEngine engine(g);
+  WalkEngineT engine{CsrSubstrate(g)};
   run_walk_rounds(state, engine);
 }
 void BM_WalkImplicitTorus(benchmark::State& state) {
@@ -62,7 +62,7 @@ void BM_WalkImplicitTorus(benchmark::State& state) {
 }
 void BM_WalkCsrHypercube(benchmark::State& state) {
   static const Graph g = make_hypercube(20);
-  WalkEngine engine(g);
+  WalkEngineT engine{CsrSubstrate(g)};
   run_walk_rounds(state, engine);
 }
 void BM_WalkImplicitHypercube(benchmark::State& state) {
@@ -71,7 +71,7 @@ void BM_WalkImplicitHypercube(benchmark::State& state) {
 }
 void BM_WalkCsrComplete(benchmark::State& state) {
   static const Graph g = make_complete(4096);
-  WalkEngine engine(g);
+  WalkEngineT engine{CsrSubstrate(g)};
   run_walk_rounds(state, engine);
 }
 void BM_WalkImplicitComplete(benchmark::State& state) {
@@ -89,7 +89,7 @@ void BM_WalkImplicitGiantCycle(benchmark::State& state) {
 /// BENCH_4 headline instance).
 void BM_WalkCsrExpander(benchmark::State& state) {
   static const Graph g = make_margulis_expander(1024);
-  WalkEngine engine(g);
+  WalkEngineT engine{CsrSubstrate(g)};
   run_walk_rounds(state, engine);
 }
 

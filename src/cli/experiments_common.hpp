@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +31,13 @@ inline std::vector<unsigned> geometric_ks(std::uint64_t k_limit,
     if (k > bound / factor) break;  // k * factor would overflow past bound
   }
   return ks;
+}
+
+/// Rejects a flag value the experiment cannot run. The message alone is
+/// thrown, with no source location: the fault is in the input, and the
+/// message names the flag and its limit.
+inline void require_option(bool ok, const std::string& message) {
+  if (!ok) throw std::invalid_argument(message);
 }
 
 /// Guard on --kmax/--k style walk counts: a sweep point allocates 4k bytes

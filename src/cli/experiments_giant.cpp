@@ -82,9 +82,10 @@ ExperimentResult run_giant_cycle(const ExperimentParams& params,
   const ExperimentPreset& preset = preset_for("giant-cycle-speedup");
   const std::uint64_t seed = params.seed;
   const std::uint64_t n64 = std::max<std::uint64_t>(resolve_n(preset, params), 3);
-  MW_REQUIRE(n64 <= std::numeric_limits<Vertex>::max(),
-             "giant-cycle-speedup: n " << n64 << " exceeds the 32-bit vertex "
-             "limit " << std::numeric_limits<Vertex>::max());
+  require_option(n64 <= std::numeric_limits<Vertex>::max(),
+                 "--n=" + std::to_string(n64) +
+                     " exceeds the 32-bit vertex limit " +
+                     std::to_string(std::numeric_limits<Vertex>::max()));
   const auto n = static_cast<Vertex>(n64);
   const std::uint64_t trials = resolve_trials(preset, params);
   const std::uint64_t k_limit =
@@ -139,6 +140,15 @@ ExperimentResult run_giant_torus(const ExperimentParams& params,
   const std::uint64_t seed = params.seed;
   const std::uint64_t requested_n =
       std::max<std::uint64_t>(resolve_n(preset, params), 9);
+  // The side is round(sqrt(n)), and side² must fit a 32-bit Vertex: side
+  // 65535 is the largest, reached by every n below 65535.5².
+  constexpr std::uint64_t kMaxSide = 65535;
+  require_option(requested_n <= kMaxSide * (kMaxSide + 1),
+                 "--n=" + std::to_string(requested_n) +
+                     " exceeds " + std::to_string(kMaxSide * (kMaxSide + 1)) +
+                     ", the largest n whose torus (side round(sqrt(n)) = " +
+                     std::to_string(kMaxSide) +
+                     ") fits the 32-bit vertex limit");
   const auto side = static_cast<Vertex>(std::max<std::uint64_t>(
       3, static_cast<std::uint64_t>(
              std::llround(std::sqrt(static_cast<double>(requested_n))))));

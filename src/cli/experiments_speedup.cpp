@@ -4,6 +4,7 @@
 // exponential speed-up (Thm 7), and the Conjecture 10/11 family sweep.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,9 +26,29 @@ ExperimentResult run_cycle_speedup(const ExperimentParams& params,
                                    ThreadPool& pool) {
   const ExperimentPreset& preset = preset_for("fig_cycle_speedup");
   const std::uint64_t seed = params.seed;
-  const auto cycle_n = static_cast<Vertex>(resolve_n(preset, params));
+  const std::uint64_t n64 = resolve_n(preset, params);
   const std::uint64_t k_limit = resolve_kmax(preset, params);
   const std::uint64_t target_trials = resolve_trials(preset, params);
+  const std::vector<unsigned> ks = geometric_ks(k_limit);
+
+  require_option(n64 >= 3, "--n=" + std::to_string(n64) +
+                                " is below 3, the smallest cycle");
+  // Lemma 22's upper bound holds for ln k <= n/4, so the sweep's largest k
+  // sets the smallest cycle this table can print.
+  const auto lemma22_n = static_cast<std::uint64_t>(
+      std::ceil(4.0 * std::log(static_cast<double>(ks.back()))));
+  require_option(n64 >= lemma22_n,
+                 "--n=" + std::to_string(n64) + " is below " +
+                     std::to_string(lemma22_n) +
+                     ", the smallest cycle Lemma 22's bound covers at the "
+                     "sweep's largest k = " +
+                     std::to_string(ks.back()) +
+                     " (it needs ln k <= n/4); raise --n or lower --kmax");
+  require_option(n64 <= std::numeric_limits<Vertex>::max(),
+                 "--n=" + std::to_string(n64) +
+                     " exceeds the 32-bit vertex limit " +
+                     std::to_string(std::numeric_limits<Vertex>::max()));
+  const auto cycle_n = static_cast<Vertex>(n64);
 
   FamilyInstance instance;
   instance.family = GraphFamily::kCycle;
@@ -37,8 +58,6 @@ ExperimentResult run_cycle_speedup(const ExperimentParams& params,
 
   const ExperimentOptions options =
       preset_experiment_options(seed, target_trials);
-
-  const std::vector<unsigned> ks = geometric_ks(k_limit);
 
   const SpeedupCurveResult curve =
       run_speedup_curve(instance, ks, options, &pool);

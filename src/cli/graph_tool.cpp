@@ -372,16 +372,9 @@ int run_info(int argc, char** argv) {
             ? static_cast<double>(mapped.num_arcs()) /
                   static_cast<double>(mapped.num_vertices())
             : 0.0;
-    std::uint64_t largest_extent = 0;
-    if (mapped.has_block_index()) {
-      // The largest extent is what an out-of-core scheduler must fit in
-      // its budget; worth surfacing next to the block count.
-      const std::span<const std::uint64_t> begins = mapped.block_arc_begin();
-      for (std::size_t b = 0; b + 1 < begins.size(); ++b) {
-        largest_extent = std::max(largest_extent, begins[b + 1] - begins[b]);
-      }
-      largest_extent *= sizeof(Vertex);
-    }
+    // The largest extent is what an out-of-core scheduler must fit in its
+    // budget; worth surfacing next to the block count.
+    const std::uint64_t largest_extent = mapped.largest_extent_bytes();
     if (json) {
       JsonWriter writer(/*pretty=*/true);
       writer.begin_object();

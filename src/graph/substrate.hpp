@@ -89,7 +89,7 @@ concept ArcAddressableSubstrate =
     };
 
 /// Wraps a Graph's live CSR arrays (pointers, not a copy — the Graph must
-/// outlive the substrate, exactly like the historical WalkEngine binding).
+/// outlive the substrate and every engine bound to it).
 /// Equality compares the array identities, so a cached engine can never
 /// silently run against a different graph.
 class CsrSubstrate {
@@ -147,14 +147,6 @@ class CsrSubstrate {
   /// Graph (storage/mapped_graph.hpp).
   std::span<const std::uint64_t> offsets() const noexcept {
     return {row_, static_cast<std::size_t>(num_vertices_) + 1};
-  }
-
-  /// True iff this substrate reads exactly g's live CSR arrays. A pure
-  /// comparison (never throws), unlike constructing a CsrSubstrate from g
-  /// — so WalkEngine::bound_to stays a query even for invalid graphs.
-  bool reads_arrays_of(const Graph& g) const noexcept {
-    return row_ == g.offsets().data() && adj_ == g.targets().data() &&
-           num_vertices_ == g.num_vertices();
   }
 
   bool operator==(const CsrSubstrate&) const noexcept = default;

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
@@ -225,6 +226,14 @@ MwgMetadata::MwgMetadata(const ReadOnlyFile& file)
         num_blocks());
   }
   check_structure();
+}
+
+std::uint64_t MwgMetadata::largest_extent_bytes() const noexcept {
+  std::uint64_t largest = 0;
+  for (std::size_t b = 0; b + 1 < block_arc_begin_.size(); ++b) {
+    largest = std::max(largest, block_arc_begin_[b + 1] - block_arc_begin_[b]);
+  }
+  return largest * sizeof(Vertex);
 }
 
 void MwgMetadata::read_header(const ReadOnlyFile& file) {

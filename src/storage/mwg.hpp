@@ -291,6 +291,9 @@ class MwgMetadata {
     return block_bits_ > 0 ? mwg_num_blocks(header_.num_vertices, block_bits_)
                            : 0;
   }
+  /// Bytes of the largest block's targets extent: what an out-of-core
+  /// run's extent cache holds at least, whatever its budget. 0 on v1.
+  std::uint64_t largest_extent_bytes() const noexcept;
 
   const std::string& path() const noexcept { return path_; }
   std::uint64_t file_bytes() const noexcept { return file_bytes_; }

@@ -111,31 +111,6 @@ CoverSample BlockWalkEngine::run_until_visited(Vertex target, Rng& rng,
   return sample;
 }
 
-void BlockWalkEngine::run_for_steps(std::uint64_t rounds, Rng& rng,
-                                    double laziness) {
-  MW_REQUIRE(!tokens_.empty(), "no tokens; call reset() before running");
-  MW_REQUIRE(laziness >= 0.0 && laziness < 1.0, "laziness must be in [0,1)");
-  if (rounds == 0) return;
-  const Stats before = stats_;
-  settle();
-  ensure_lanes(rng);
-  const std::uint64_t total_rounds = rounds;
-  obs::RunObserver* const o = obs::observer();
-  obs::TraceWriter* const trace = o != nullptr ? o->trace : nullptr;
-  while (rounds > 0) {
-    const auto horizon = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(kBlockHorizon, rounds));
-    {
-      obs::TraceSpan span(trace, "horizon", "block");
-      run_horizon<Visits::kCommit>(horizon, laziness);
-    }
-    ++stats_.horizons;
-    rounds -= horizon;
-    if (o != nullptr && o->progress != nullptr) o->progress->tick();
-  }
-  note_run_observed(before, total_rounds);
-}
-
 template <BlockWalkEngine::Visits kVisits>
 void BlockWalkEngine::run_horizon(std::uint32_t rounds, double laziness) {
   rounds_left_.assign(tokens_.size(), rounds);
@@ -201,18 +176,16 @@ void BlockWalkEngine::process_block(std::uint32_t block, std::uint32_t rounds,
       v = block_targets[row + lane_neighbor_index(rng, degree) - arc0];
       const auto round = static_cast<Stamp>(rounds + 1 - left);
       --left;
-      if constexpr (kVisits != Visits::kNone) {
+      if constexpr (kVisits == Visits::kStamp) {
         std::uint64_t& word = words[v >> 6];
         const std::uint64_t bit = std::uint64_t{1} << (v & 63);
         if ((word & bit) == 0) {
           word |= bit;
           ++visited;
-          if constexpr (kVisits == Visits::kStamp) {
-            stamps[v] = round;
-            *fresh++ = v;
-          }
-        } else if constexpr (kVisits == Visits::kStamp) {
-          if (stamps[v] > round) stamps[v] = round;
+          stamps[v] = round;
+          *fresh++ = v;
+        } else if (stamps[v] > round) {
+          stamps[v] = round;
         }
       }
       if ((v >> bits) != block) break;
@@ -229,8 +202,8 @@ void BlockWalkEngine::process_block(std::uint32_t block, std::uint32_t rounds,
   });
 
   stats_.bucket_migrations += migrations;
-  if constexpr (kVisits != Visits::kNone) tracker_.set_num_visited(visited);
   if constexpr (kVisits == Visits::kStamp) {
+    tracker_.set_num_visited(visited);
     num_fresh_ = static_cast<std::size_t>(fresh - fresh_.get());
   }
   if (o != nullptr && o->trace != nullptr) {

@@ -21,11 +21,10 @@
 // every budget; and because each lane's trajectory is a pure function of
 // its own RNG stream (contract v6) and visited-set updates commute, the
 // results are bit-identical to the IN-CORE lane engine for the same seed:
-//
-//   * run_for_steps: final tokens, RNG states, and visited set equal the
-//     in-core lane run's after the same rounds;
-//   * run_until_visited: additionally returns the same (steps, covered),
-//     and leaves the state of the covering round.
+// run_until_visited returns the same (steps, covered) and leaves the same
+// tokens, RNG states and visited set — those of the covering round, or of
+// the cap when the target is not reached. A fixed-rounds run is a run to
+// num_vertices() capped at the round count that does not cover.
 //
 // Cover needs the round at which the union of visited vertices first
 // reaches the target, which an asynchronous schedule does not pass
@@ -38,7 +37,7 @@
 // vertices stamped after r* are taken out of the visited set again.
 //
 // Tokens and lane RNGs are not rewound at once: the engine keeps their
-// horizon-start copies, and the first tokens() read or the next run_*
+// horizon-start copies, and the first tokens() read or the next run
 // call re-advances every lane r* rounds from them without committing
 // visits. reset() drops that pending state, so Monte-Carlo trials never
 // pay for it.
@@ -94,11 +93,6 @@ class BlockWalkEngine {
   CoverSample run_until_visited(Vertex target, Rng& rng,
                                 const CoverOptions& options = {});
 
-  /// Same contract (and same end state, bit for bit) as the in-core lane
-  /// engine's run_for_steps. Chunked calls are equivalent
-  /// to one combined call.
-  void run_for_steps(std::uint64_t rounds, Rng& rng, double laziness = 0.0);
-
   Vertex num_vertices() const noexcept { return graph_->num_vertices(); }
   Vertex num_visited() const noexcept { return tracker_.num_visited(); }
   bool visited(Vertex v) const { return tracker_.visited(v); }
@@ -126,9 +120,9 @@ class BlockWalkEngine {
 
  private:
   /// What a step does with the vertex it lands on: nothing (the rewind
-  /// to a covering round), mark it visited (run_for_steps), or mark it
-  /// and keep its first-visit stamp (a cover horizon).
-  enum class Visits { kNone, kCommit, kStamp };
+  /// to a covering round), or mark it visited and keep its first-visit
+  /// stamp (a cover horizon).
+  enum class Visits { kNone, kStamp };
   /// First-visit round within the current horizon; 0 = not fresh. Not a
   /// character type: a char store may alias any object, which would make
   /// the kernel reload its other state after every stamp write.
@@ -150,7 +144,7 @@ class BlockWalkEngine {
   /// unmarks the fresh vertices stamped after it, and zeroes the stamps.
   std::uint32_t close_horizon(Vertex target, Vertex before,
                               std::uint32_t rounds);
-  /// Observability flush for one run_* call (serial calling thread):
+  /// Observability flush for one horizon (serial calling thread):
   /// schedule-counter deltas since `before` plus the logical round count.
   void note_run_observed(const Stats& before, std::uint64_t rounds) const;
 

@@ -12,8 +12,7 @@ namespace manywalks {
 // constructing the substrate per call revalidates walkability in O(1)
 // (Graph caches its min degree) — the guard against the allocator handing
 // a new graph the same blocks as a cached engine's — and the per-thread
-// pooled WalkEngineT<CsrSubstrate> in cover.hpp rebinds on array identity
-// exactly as the historical pooled WalkEngine did.
+// pooled WalkEngineT<CsrSubstrate> in cover.hpp rebinds on array identity.
 
 CoverSample sample_cover_time(const Graph& g, Vertex start, Rng& rng,
                               const CoverOptions& options) {
@@ -64,28 +63,17 @@ CoverageCurve sample_coverage_curve(const Graph& g,
   const std::uint64_t last = std::min(total_steps, options.step_cap);
   curve.times.push_back(0);
   curve.visited.push_back(engine.num_visited());
+  CoverOptions chunk_options = options;
   std::uint64_t t = 0;
   while (t < last) {
     const std::uint64_t chunk = std::min<std::uint64_t>(record_every, last - t);
-    engine.run_for_steps(chunk, rng, options.laziness);
+    chunk_options.step_cap = chunk;
+    engine.run_until_visited(g.num_vertices(), rng, chunk_options);
     t += chunk;
     curve.times.push_back(t);
     curve.visited.push_back(engine.num_visited());
   }
   return curve;
-}
-
-std::vector<std::uint64_t> sample_visit_counts(const Graph& g, Vertex start,
-                                               std::uint64_t num_steps,
-                                               Rng& rng,
-                                               const CoverOptions& options) {
-  auto& engine = pooled_substrate_engine(CsrSubstrate(g));
-  const Vertex starts[1] = {start};
-  engine.reset(starts);
-  std::vector<std::uint64_t> counts(g.num_vertices(), 0);
-  counts[start] = 1;
-  engine.run_for_steps(num_steps, rng, options.laziness, counts.data());
-  return counts;
 }
 
 }  // namespace manywalks

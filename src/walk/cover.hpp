@@ -10,7 +10,8 @@
 // we test against, e.g. C(cycle) = n(n-1)/2.)
 //
 // Every sampler here runs the engine's per-token lane streams (determinism
-// contract v6).
+// contract v6), and every one runs them through run_until_visited: the
+// coverage curve too, one capped run per recorded chunk.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +30,8 @@
 namespace manywalks {
 
 /// One cover-time sample of a single walk from `start`. (All the samplers
-/// here amortize engine construction via a per-thread WalkEngine; callers
-/// needing finer control hold a WalkEngine directly.)
+/// here amortize engine construction via a per-thread engine; callers
+/// needing finer control hold a WalkEngineT{CsrSubstrate(g)} directly.)
 CoverSample sample_cover_time(const Graph& g, Vertex start, Rng& rng,
                               const CoverOptions& options = {});
 
@@ -62,19 +63,16 @@ struct CoverageCurve {
 /// Runs a k-walk for `total_steps` rounds recording coverage every
 /// `record_every` rounds (and at t=0 and the final round). If
 /// `options.step_cap` is smaller than `total_steps` the run stops at the
-/// cap and the curve is marked truncated.
+/// cap and the curve is marked truncated. Each chunk is one
+/// run_until_visited(n, ...) capped at the chunk length; once the graph is
+/// covered the count stays n, so later chunks run no rounds. Draws the
+/// lane master from `rng` at the first chunk unless the starts already
+/// cover the graph.
 CoverageCurve sample_coverage_curve(const Graph& g,
                                     std::span<const Vertex> starts,
                                     std::uint64_t total_steps,
                                     std::uint64_t record_every, Rng& rng,
                                     const CoverOptions& options = {});
-
-/// Per-vertex visit counts of a single walk over `num_steps` steps
-/// (including the start's t=0 occupancy).
-std::vector<std::uint64_t> sample_visit_counts(const Graph& g, Vertex start,
-                                               std::uint64_t num_steps,
-                                               Rng& rng,
-                                               const CoverOptions& options = {});
 
 // --- substrate overloads -----------------------------------------------------
 //

@@ -11,8 +11,4 @@ template class WalkEngineT<TorusSubstrate>;
 template class WalkEngineT<HypercubeSubstrate>;
 template class WalkEngineT<CompleteSubstrate>;
 
-// Walkability (min degree >= 1) is validated by CsrSubstrate itself.
-WalkEngine::WalkEngine(const Graph& g)
-    : WalkEngineT<CsrSubstrate>(CsrSubstrate(g)) {}
-
 }  // namespace manywalks

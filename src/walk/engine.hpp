@@ -71,17 +71,16 @@ inline constexpr std::uint64_t kStayArc = ~std::uint64_t{0};
 // its loop, while inlined into run_until_visited it pushed that round out
 // of line and made every small-k round a call.
 
-/// Marks one landing in the visit scratch (and the optional counters).
-/// kTally keeps `visited` exact: the serial paths stop on it, and there
-/// the first-visit branch is well predicted (late in a trial most landings
-/// are repeats). The sharded driver's rounds pass kTally = false and get a
-/// plain branchless OR: its count comes from the epoch merge, and on a
-/// bitmap that starts empty every trial the branch is close to a coin flip.
-template <bool kCounts, bool kTally = true>
+/// Marks one landing in the visit scratch. kTally keeps `visited` exact:
+/// the serial paths stop on it, and there the first-visit branch is well
+/// predicted (late in a trial most landings are repeats). The sharded
+/// driver's rounds pass kTally = false and get a plain branchless OR: its
+/// count comes from the epoch merge, and on a bitmap that starts empty
+/// every trial the branch is close to a coin flip.
+template <bool kTally = true>
 [[gnu::always_inline]]
 inline void commit_visit(Vertex v, std::uint64_t* words,
-                         [[maybe_unused]] Vertex& visited,
-                         [[maybe_unused]] std::uint64_t* counts) {
+                         [[maybe_unused]] Vertex& visited) {
   std::uint64_t& word = words[v >> 6];
   const std::uint64_t bit = std::uint64_t{1} << (v & 63);
   if constexpr (kTally) {
@@ -92,7 +91,6 @@ inline void commit_visit(Vertex v, std::uint64_t* words,
   } else {
     word |= bit;
   }
-  if constexpr (kCounts) ++counts[v];
 }
 
 /// One pipelined lane round over an arc-addressable (CSR) substrate.
@@ -101,13 +99,12 @@ inline void commit_visit(Vertex v, std::uint64_t* words,
 ///   1. offset-row loads + per-lane draws, prefetch the neighbor words;
 ///   2. neighbor loads, prefetch the visit-tracker words (and the NEXT
 ///      block's offset rows, overlapping its stage 1);
-///   3. commit tokens/bits/counters, warm the landing vertex's offset row
+///   3. commit tokens and visit bits, warm the landing vertex's offset row
 ///      for the next round.
-template <bool kLazy, bool kCounts, bool kTally, class S>
+template <bool kLazy, bool kTally, class S>
 inline void lane_round_csr(const S& substrate, Vertex* toks, Rng* rngs,
                            std::size_t k, [[maybe_unused]] double laziness,
-                           std::uint64_t* words, Vertex& visited,
-                           [[maybe_unused]] std::uint64_t* counts) {
+                           std::uint64_t* words, Vertex& visited) {
   std::uint64_t arcs[kLaneBlock];
   Vertex nexts[kLaneBlock];
   const std::size_t first = std::min(k, kLaneBlock);
@@ -153,7 +150,7 @@ inline void lane_round_csr(const S& substrate, Vertex* toks, Rng* rngs,
     for (std::size_t j = 0; j < nb; ++j) {  // stage 3
       const Vertex v = nexts[j];
       toks[base + j] = v;
-      commit_visit<kCounts, kTally>(v, words, visited, counts);
+      commit_visit<kTally>(v, words, visited);
       substrate.prefetch_degree_row(v);
     }
   }
@@ -194,52 +191,50 @@ struct LanePerVertexDraw {
 /// no loads, so no staging is worth its overhead — a fused loop of k
 /// independent (rng, position) chains already lets the core overlap the
 /// tracker-word accesses, the only memory the implicit families touch.
-template <bool kLazy, bool kCounts, bool kTally, class S, class Draw>
+template <bool kLazy, bool kTally, class S, class Draw>
 [[gnu::always_inline]]
 inline void lane_round_direct(const S& substrate, Draw draw, Vertex* toks,
                               Rng* rngs, std::size_t k,
                               [[maybe_unused]] double laziness,
-                              std::uint64_t* words, Vertex& visited,
-                              [[maybe_unused]] std::uint64_t* counts) {
+                              std::uint64_t* words, Vertex& visited) {
   for (std::size_t i = 0; i < k; ++i) {
     Vertex v = toks[i];
     if constexpr (kLazy) {
       if (rngs[i].uniform01() < laziness) {
-        commit_visit<kCounts, kTally>(v, words, visited, counts);
+        commit_visit<kTally>(v, words, visited);
         continue;
       }
     }
     v = substrate.neighbor(v, draw(rngs[i], substrate, v));
     toks[i] = v;
-    commit_visit<kCounts, kTally>(v, words, visited, counts);
+    commit_visit<kTally>(v, words, visited);
   }
 }
 
 /// All `rounds` lane steps of every lane, lane-major: with no
 /// per-round coverage check to honor, each lane's whole strip runs with
 /// its RNG state and position in registers, free of the round-major
-/// schedule's per-step state load/store. Tracker-bit sets and
-/// visit-counter increments commute and lanes never read each other's
-/// state in a fixed-rounds run, so the final tokens/visited-set/counts are
-/// identical to the round-major schedule. Arc-addressable substrates keep
-/// the round-major kernels: their throughput comes from overlapping k
-/// independent memory chains, which lane-major would serialize.
-template <bool kLazy, bool kCounts, class S, class Draw>
+/// schedule's per-step state load/store. Tracker-bit sets commute and
+/// lanes never read each other's state in a fixed-rounds run, so the final
+/// tokens and visited set are identical to the round-major schedule.
+/// Arc-addressable substrates keep the round-major kernels: their
+/// throughput comes from overlapping k independent memory chains, which
+/// lane-major would serialize.
+template <bool kLazy, class S, class Draw>
 inline void lane_steps_lane_major(const S& substrate, Draw draw,
                                   std::uint64_t rounds, Vertex* toks,
                                   Rng* rngs, std::size_t k,
                                   [[maybe_unused]] double laziness,
-                                  std::uint64_t* words, Vertex& visited,
-                                  [[maybe_unused]] std::uint64_t* counts) {
+                                  std::uint64_t* words, Vertex& visited) {
   const auto advance = [&](Rng& rng, Vertex v) {
     if constexpr (kLazy) {
       if (rng.uniform01() < laziness) {
-        commit_visit<kCounts>(v, words, visited, counts);
+        commit_visit(v, words, visited);
         return v;
       }
     }
     v = substrate.neighbor(v, draw(rng, substrate, v));
-    commit_visit<kCounts>(v, words, visited, counts);
+    commit_visit(v, words, visited);
     return v;
   };
   // Four lanes per strip: their states stay register/L1-local across all
@@ -283,20 +278,19 @@ inline void lane_steps_lane_major(const S& substrate, Draw draw,
 /// next draw reads it. The substrate and the visited count are copied into
 /// locals so they stay in registers whether or not the round is inlined
 /// (through the references they are re-read after every store).
-template <bool kLazy, bool kCounts, bool kTally, class S, class Draw>
+template <bool kLazy, bool kTally, class S, class Draw>
 inline void lane_round_csr_regular(const S& substrate, Draw draw,
                                    std::uint64_t stride, Vertex* toks,
                                    Rng* rngs, std::size_t k,
                                    [[maybe_unused]] double laziness,
-                                   std::uint64_t* words, Vertex& visited,
-                                   [[maybe_unused]] std::uint64_t* counts) {
+                                   std::uint64_t* words, Vertex& visited) {
   const S sub = substrate;
   Vertex seen = visited;
   for (std::size_t i = 0; i < k; ++i) {
     Vertex v = toks[i];
     if constexpr (kLazy) {
       if (rngs[i].uniform01() < laziness) {
-        commit_visit<kCounts, kTally>(v, words, seen, counts);
+        commit_visit<kTally>(v, words, seen);
         continue;
       }
     }
@@ -304,7 +298,7 @@ inline void lane_round_csr_regular(const S& substrate, Draw draw,
     v = sub.arc_target(arc);
     toks[i] = v;
     sub.prefetch_arc(stride * v);  // next round's row, one round early
-    commit_visit<kCounts, kTally>(v, words, seen, counts);
+    commit_visit<kTally>(v, words, seen);
   }
   visited = seen;
 }
@@ -320,14 +314,14 @@ template <class S>
 class WalkEngineT {
   static_assert(Substrate<S>,
                 "WalkEngineT requires a Substrate (wrap a Graph in "
-                "CsrSubstrate, or use WalkEngine)");
+                "CsrSubstrate)");
 
  public:
   /// Binds the substrate by value. For CsrSubstrate the underlying Graph's
   /// CSR arrays must outlive the engine; implicit substrates carry no
-  /// external state. Walkability is the substrate's own invariant (every
-  /// substrate guarantees min degree >= 1 by construction; the Graph-facing
-  /// WalkEngine validates it once at binding).
+  /// external state. Walkability is the substrate's own invariant: every
+  /// substrate guarantees min degree >= 1 by construction (CsrSubstrate(g)
+  /// checks g once).
   explicit WalkEngineT(const S& substrate)
       : substrate_(substrate),
         num_vertices_(substrate.num_vertices()),
@@ -424,27 +418,27 @@ class WalkEngineT {
     return sample;
   }
 
-  /// Advances all tokens for exactly `rounds` rounds, marking visits. When
-  /// `visit_counts` is non-null it must point at num_vertices() counters;
-  /// each token increments its landing vertex's counter every step.
+  /// Advances all tokens for exactly `rounds` rounds, marking visits.
   /// Chunked calls are equivalent to one combined call (the lanes are
   /// seeded once, at the first non-empty run after reset(), consuming
   /// exactly one draw of `rng`).
-  void run_for_steps(std::uint64_t rounds, Rng& rng, double laziness = 0.0,
-                     std::uint64_t* visit_counts = nullptr) {
+  ///
+  /// No code in src/ calls this: every experiment samples through
+  /// run_until_visited. It stays as the timing loop of the benches'
+  /// gates, and the lane guard (`bench_engine --lane_guard`) is why: on
+  /// the implicit substrates it runs the lane-major strip, and the
+  /// guard's 1.0x floor over the shared-stream baseline holds only there.
+  /// In a native build at k in {8, 64, 256} (7 alternating reps, medians)
+  /// the strip read 1.02-1.23x that baseline on the implicit rows, while
+  /// run_until_visited read 0.72-0.94x on csr-cycle, implicit-cycle,
+  /// torus, hypercube and complete (csr-expander: 2.2-2.6x).
+  void run_for_steps(std::uint64_t rounds, Rng& rng, double laziness = 0.0) {
     MW_REQUIRE(!tokens_.empty(), "no tokens; call reset() before running");
     MW_REQUIRE(laziness >= 0.0 && laziness < 1.0, "laziness must be in [0,1)");
     if (rounds == 0) return;
     ensure_lanes(rng);
-    if (laziness > 0.0) {
-      visit_counts != nullptr
-          ? run_for_steps_lane<true, true>(rounds, laziness, visit_counts)
-          : run_for_steps_lane<true, false>(rounds, laziness, visit_counts);
-    } else {
-      visit_counts != nullptr
-          ? run_for_steps_lane<false, true>(rounds, laziness, visit_counts)
-          : run_for_steps_lane<false, false>(rounds, laziness, visit_counts);
-    }
+    laziness > 0.0 ? run_for_steps_lane<true>(rounds, laziness)
+                   : run_for_steps_lane<false>(rounds, laziness);
     note_rounds_observed(rounds);
   }
 
@@ -514,10 +508,10 @@ class WalkEngineT {
   /// Resolves the lane ROUND kernel for this substrate — stride-addressed
   /// or staged-pipeline CSR round, fused direct round otherwise — and
   /// hands it to `body` as a nullary callable. kTally as in commit_visit.
-  template <bool kLazy, bool kCounts, bool kTally, class Body>
+  template <bool kLazy, bool kTally, class Body>
   auto with_lane_round(const S& substrate, Vertex* toks, Rng* rngs,
                        std::size_t k, double laziness, std::uint64_t* words,
-                       Vertex& visited, std::uint64_t* counts, Body&& body) {
+                       Vertex& visited, Body&& body) {
     if constexpr (ArcAddressableSubstrate<S>) {
       const auto stride =
           static_cast<std::uint64_t>(substrate.regular_stride());
@@ -528,23 +522,21 @@ class WalkEngineT {
         return with_hoisted_draw(
             static_cast<std::uint32_t>(stride), [&](auto draw) {
               return body([&, draw] {
-                detail::lane_round_csr_regular<kLazy, kCounts, kTally>(
+                detail::lane_round_csr_regular<kLazy, kTally>(
                     substrate, draw, stride, toks, rngs, k, laziness, words,
-                    visited, counts);
+                    visited);
               });
             });
       }
       return body([&] {
-        detail::lane_round_csr<kLazy, kCounts, kTally>(substrate, toks, rngs,
-                                                       k, laziness, words,
-                                                       visited, counts);
+        detail::lane_round_csr<kLazy, kTally>(substrate, toks, rngs, k,
+                                              laziness, words, visited);
       });
     } else {
       return with_lane_draw(substrate, [&](auto draw) {
         return body([&, draw] {
-          detail::lane_round_direct<kLazy, kCounts, kTally>(
-              substrate, draw, toks, rngs, k, laziness, words, visited,
-              counts);
+          detail::lane_round_direct<kLazy, kTally>(
+              substrate, draw, toks, rngs, k, laziness, words, visited);
         });
       });
     }
@@ -663,9 +655,9 @@ class WalkEngineT {
             const std::size_t lane_begin = shard_lane_begin(k, shards, s);
             const std::size_t lane_end = shard_lane_begin(k, shards, s + 1);
             Vertex untallied = 0;  // the union count comes from the merge
-            with_lane_round<kLazy, false, false>(
+            with_lane_round<kLazy, false>(
                 substrate, toks + lane_begin, rngs + lane_begin,
-                lane_end - lane_begin, laziness, words, untallied, nullptr,
+                lane_end - lane_begin, laziness, words, untallied,
                 [&](auto&& round) {
                   for (std::uint64_t r = 0; r < rounds; ++r) round();
                 });
@@ -740,8 +732,8 @@ class WalkEngineT {
     const double laziness = options.laziness;
     Vertex visited = tracker_.num_visited();
 
-    return with_lane_round<kLazy, false, true>(
-        substrate, toks, rngs, k, laziness, words, visited, nullptr,
+    return with_lane_round<kLazy, true>(
+        substrate, toks, rngs, k, laziness, words, visited,
         [&](auto&& round) {
           CoverSample sample;
           std::uint64_t t = 0;
@@ -762,9 +754,8 @@ class WalkEngineT {
         });
   }
 
-  template <bool kLazy, bool kCounts>
-  void run_for_steps_lane(std::uint64_t rounds, double laziness,
-                          std::uint64_t* visit_counts) {
+  template <bool kLazy>
+  void run_for_steps_lane(std::uint64_t rounds, double laziness) {
     const S substrate = substrate_;
     Vertex* const toks = tokens_.data();
     std::uint64_t* const words = tracker_.words();
@@ -773,8 +764,8 @@ class WalkEngineT {
     Vertex visited = tracker_.num_visited();
 
     if constexpr (ArcAddressableSubstrate<S>) {
-      with_lane_round<kLazy, kCounts, true>(
-          substrate, toks, rngs, k, laziness, words, visited, visit_counts,
+      with_lane_round<kLazy, true>(
+          substrate, toks, rngs, k, laziness, words, visited,
           [&](auto&& round) {
             for (std::uint64_t t = 0; t < rounds; ++t) round();
           });
@@ -782,9 +773,9 @@ class WalkEngineT {
       // No per-round check to honor: run each lane's whole strip with its
       // state in registers (see lane_steps_lane_major).
       with_lane_draw(substrate, [&](auto draw) {
-        detail::lane_steps_lane_major<kLazy, kCounts>(
-            substrate, draw, rounds, toks, rngs, k, laziness, words, visited,
-            visit_counts);
+        detail::lane_steps_lane_major<kLazy>(substrate, draw, rounds, toks,
+                                             rngs, k, laziness, words,
+                                             visited);
       });
     }
     tracker_.set_num_visited(visited);
@@ -812,22 +803,5 @@ extern template class WalkEngineT<CycleSubstrate>;
 extern template class WalkEngineT<TorusSubstrate>;
 extern template class WalkEngineT<HypercubeSubstrate>;
 extern template class WalkEngineT<CompleteSubstrate>;
-
-/// The historical Graph-facing engine: the CsrSubstrate instantiation plus
-/// one-time walkability validation and the live-array binding check.
-class WalkEngine : public WalkEngineT<CsrSubstrate> {
- public:
-  /// Binds to `g` and validates walkability once. The graph's CSR arrays
-  /// must outlive the engine; the engine holds pointers, not a copy.
-  explicit WalkEngine(const Graph& g);
-
-  /// True iff this engine was constructed against exactly g's live CSR
-  /// arrays (compared by data pointer and size, not graph address), so a
-  /// cached engine can never silently run on a different graph. A pure
-  /// query: never throws, even for an unwalkable g.
-  bool bound_to(const Graph& g) const noexcept {
-    return substrate().reads_arrays_of(g);
-  }
-};
 
 }  // namespace manywalks

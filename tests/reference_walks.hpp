@@ -65,7 +65,7 @@ class LaneReferenceWalk {
     std::uint64_t t = 0;
     while (t < options.step_cap) {
       ++t;
-      round(options.laziness, nullptr);
+      round(options.laziness);
       if (num_visited_ >= target) {
         sample.steps = t;
         sample.covered = true;
@@ -88,7 +88,7 @@ class LaneReferenceWalk {
     std::uint64_t t = 0;
     while (t < options.step_cap) {
       ++t;
-      round(options.laziness, nullptr);
+      round(options.laziness);
       if (std::ranges::any_of(tokens_,
                               [&](Vertex v) { return in_target[v]; })) {
         sample.steps = t;
@@ -100,11 +100,10 @@ class LaneReferenceWalk {
     return sample;
   }
 
-  void run_for_steps(std::uint64_t rounds, Rng& rng, double laziness = 0.0,
-                     std::uint64_t* visit_counts = nullptr) {
+  void run_for_steps(std::uint64_t rounds, Rng& rng, double laziness = 0.0) {
     if (rounds == 0) return;
     seed_lanes(rng);
-    for (std::uint64_t t = 0; t < rounds; ++t) round(laziness, visit_counts);
+    for (std::uint64_t t = 0; t < rounds; ++t) round(laziness);
   }
 
   std::span<const Vertex> tokens() const { return tokens_; }
@@ -120,7 +119,7 @@ class LaneReferenceWalk {
     }
   }
 
-  void round(double laziness, std::uint64_t* visit_counts) {
+  void round(double laziness) {
     for (std::size_t i = 0; i < tokens_.size(); ++i) {
       Rng& lane = lanes_[i];
       Vertex& v = tokens_[i];
@@ -130,7 +129,6 @@ class LaneReferenceWalk {
         v = substrate_.neighbor(v, lane_neighbor_index(lane, degree));
       }
       mark(v);
-      if (visit_counts != nullptr) ++visit_counts[v];
     }
   }
 

@@ -533,7 +533,7 @@ std::vector<Instance> contract_instances() {
 /// results cannot depend on which one is used.
 const std::uint64_t kBudgets[] = {1, 4096, 1ull << 30};
 
-void expect_same_end_state(const WalkEngine& in_core,
+void expect_same_end_state(const WalkEngineT<CsrSubstrate>& in_core,
                            const BlockWalkEngine& blocked) {
   ASSERT_EQ(in_core.num_visited(), blocked.num_visited());
   const auto a = in_core.tokens();
@@ -551,7 +551,7 @@ TEST(BlockEngineContract, CoverBitIdenticalAtEveryBudget) {
     TempFile file(std::string("cover_") + name + ".mwg");
     write_mwg(file.path(), graph, bits);
     const BlockedGraph blocked(file.path());
-    WalkEngine in_core(graph);
+    WalkEngineT in_core{CsrSubstrate(graph)};
     const auto target = static_cast<Vertex>(graph.num_vertices() * 9 / 10);
     for (unsigned k : {1u, 8u, 64u}) {
       const std::vector<Vertex> starts(k, 0);
@@ -583,7 +583,7 @@ TEST(BlockEngineContract, StepCapTruncation) {
   TempFile file("cap.mwg");
   write_mwg(file.path(), graph, 7);
   const BlockedGraph blocked(file.path());
-  WalkEngine in_core(graph);
+  WalkEngineT in_core{CsrSubstrate(graph)};
   const std::vector<Vertex> starts(8, 0);
   for (const std::uint64_t cap : {0ull, 3ull, 64ull, 65ull, 100ull}) {
     SCOPED_TRACE(cap);
@@ -612,7 +612,7 @@ TEST(BlockEngineContract, TargetHitMidHorizon) {
   TempFile file("midblock.mwg");
   write_mwg(file.path(), graph, 5);
   const BlockedGraph blocked(file.path());
-  WalkEngine in_core(graph);
+  WalkEngineT in_core{CsrSubstrate(graph)};
   const std::vector<Vertex> starts(4, 0);
   for (Vertex target = 5; target <= 45; target += 10) {
     SCOPED_TRACE(target);
@@ -645,36 +645,46 @@ TEST(BlockEngineContract, BlockBoundaryStarts) {
     starts.push_back(first);
     starts.push_back(last);
   }
-  WalkEngine in_core(graph);
+  // The block engine runs a fixed 200 rounds as a run to n capped at 200
+  // that does not cover; the in-core fixed-rounds run is the reference.
+  WalkEngineT in_core{CsrSubstrate(graph)};
   Rng rng_a(3);
   in_core.reset(starts);
   in_core.run_for_steps(200, rng_a);
   BlockWalkEngine engine(blocked, 4096);
   Rng rng_b(3);
   engine.reset(starts);
-  engine.run_for_steps(200, rng_b);
+  EXPECT_FALSE(
+      engine.run_until_visited(graph.num_vertices(), rng_b, {.step_cap = 200})
+          .covered);
   expect_same_end_state(in_core, engine);
 }
 
-TEST(BlockEngineContract, RunForStepsChunkingEquivalent) {
+TEST(BlockEngineContract, CappedRunsChunkingEquivalent) {
   const Graph graph = make_margulis_expander(16);
   TempFile file("chunks.mwg");
   write_mwg(file.path(), graph, 5);
   const BlockedGraph blocked(file.path());
   const std::vector<Vertex> starts(16, 3);
+  const Vertex n = graph.num_vertices();
+  const auto capped = [&](BlockWalkEngine& engine, std::uint64_t rounds,
+                          Rng& rng) {
+    EXPECT_FALSE(engine.run_until_visited(n, rng, {.step_cap = rounds})
+                     .covered);
+  };
 
   BlockWalkEngine combined(blocked, 1 << 16);
   Rng rng_a(11);
   combined.reset(starts);
-  combined.run_for_steps(100, rng_a);
+  capped(combined, 100, rng_a);
 
   BlockWalkEngine chunked(blocked, 1 << 16);
   Rng rng_b(11);
   chunked.reset(starts);
-  chunked.run_for_steps(1, rng_b);
-  chunked.run_for_steps(63, rng_b);
-  chunked.run_for_steps(0, rng_b);  // no-op, consumes no draws
-  chunked.run_for_steps(36, rng_b);
+  capped(chunked, 1, rng_b);
+  capped(chunked, 63, rng_b);
+  capped(chunked, 0, rng_b);  // no-op, consumes no draws
+  capped(chunked, 36, rng_b);
 
   ASSERT_EQ(combined.num_visited(), chunked.num_visited());
   const auto a = combined.tokens();
@@ -688,7 +698,7 @@ TEST(BlockEngineContract, LazyWalkBitIdentical) {
   TempFile file("lazy.mwg");
   write_mwg(file.path(), graph, 7);
   const BlockedGraph blocked(file.path());
-  WalkEngine in_core(graph);
+  WalkEngineT in_core{CsrSubstrate(graph)};
   const std::vector<Vertex> starts(8, 0);
   CoverOptions options;
   options.laziness = 0.3;
@@ -709,8 +719,9 @@ TEST(BlockEngineContract, LazyWalkBitIdentical) {
 
 TEST(BlockEngineContract, ContinuationAfterCover) {
   // A covered run leaves the state of its covering round. Nothing reads
-  // the tokens in between, so the next run_* call is what rebuilds that
-  // state from the horizon start.
+  // the tokens in between, so the next run is what rebuilds that state
+  // from the horizon start: here a fixed 37 rounds, run as a capped run to
+  // n that does not cover.
   for (auto& [name, graph, bits] : contract_instances()) {
     SCOPED_TRACE(name);
     TempFile file(std::string("continue_") + name + ".mwg");
@@ -718,7 +729,7 @@ TEST(BlockEngineContract, ContinuationAfterCover) {
     const BlockedGraph blocked(file.path());
     const Vertex n = graph.num_vertices();
     const std::vector<Vertex> starts(8, 0);
-    WalkEngine in_core(graph);
+    WalkEngineT in_core{CsrSubstrate(graph)};
     Rng rng_a(0xc0417ULL);
     in_core.reset(starts);
     const CoverSample first_a = in_core.run_until_visited(n / 2, rng_a);
@@ -734,7 +745,8 @@ TEST(BlockEngineContract, ContinuationAfterCover) {
       const CoverSample first_b = engine.run_until_visited(n / 2, rng_b);
       EXPECT_EQ(first_a.steps, first_b.steps);
       EXPECT_EQ(visited_a, engine.num_visited());
-      engine.run_for_steps(37, rng_b);
+      EXPECT_FALSE(engine.run_until_visited(n, rng_b, {.step_cap = 37})
+                       .covered);
       const CoverSample second_b = engine.run_until_visited(n * 9 / 10, rng_b);
       EXPECT_EQ(second_a.steps, second_b.steps);
       EXPECT_EQ(second_a.covered, second_b.covered);
@@ -763,7 +775,7 @@ TEST(BlockEngineContract, EveryTarget) {
     write_mwg(file.path(), graph, bits);
     const BlockedGraph blocked(file.path());
     const Vertex n = graph.num_vertices();
-    WalkEngine in_core(graph);
+    WalkEngineT in_core{CsrSubstrate(graph)};
     BlockWalkEngine engine(blocked, 1ull << 30);
     for (unsigned k : {2u, 8u}) {
       SCOPED_TRACE(k);

@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/driver.hpp"
@@ -188,6 +190,72 @@ TEST(Registry, TrialCountsBelowTheFloorRunExactly) {
               std::string::npos);
     std::filesystem::remove_all(out);
   }
+}
+
+/// Runs `manywalks run <name> <args...>`; returns the exit code and what
+/// the run wrote to stderr.
+std::pair<int, std::string> run_capturing_stderr(
+    const std::string& name, std::vector<std::string> args) {
+  args.insert(args.begin(), "run");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  std::ostringstream err;
+  std::streambuf* const saved = std::cerr.rdbuf(err.rdbuf());
+  const int code = run_experiment_main(name.c_str(),
+                                       static_cast<int>(argv.size()),
+                                       argv.data());
+  std::cerr.rdbuf(saved);
+  return {code, err.str()};
+}
+
+/// A rejected flag value exits 1 before any walk runs, with a message
+/// that names the flag, its value and its limit, and no source location.
+void expect_rejected_at_flag(const std::string& name,
+                             std::vector<std::string> args,
+                             const std::string& flag,
+                             const std::string& limit) {
+  SCOPED_TRACE(name + " " + flag);
+  const auto [code, err] = run_capturing_stderr(name, std::move(args));
+  EXPECT_EQ(code, 1);
+  EXPECT_EQ(err.rfind(name + ": " + flag, 0), 0u) << err;
+  EXPECT_NE(err.find(limit), std::string::npos) << err;
+  EXPECT_EQ(err.find("requirement violated"), std::string::npos) << err;
+  EXPECT_EQ(err.find("[src/"), std::string::npos) << err;
+}
+
+TEST(Registry, SizesOutsideAnExperimentsRangeAreRejectedAtTheFlag) {
+  // Lemma 22 (fig_cycle_speedup's upper-bound column) needs ln k <= n/4:
+  // at k = 256 the smallest cycle is n = 23.
+  expect_rejected_at_flag("fig_cycle_speedup", {"--n=3", "--kmax=256"},
+                          "--n=3", "below 23");
+  expect_rejected_at_flag("fig_cycle_speedup", {"--n=22", "--kmax=256"},
+                          "--n=22", "below 23");
+  expect_rejected_at_flag("fig_cycle_speedup", {"--n=2", "--kmax=1"},
+                          "--n=2", "below 3");
+  expect_rejected_at_flag("fig_cycle_speedup",
+                          {"--n=4294967296", "--kmax=2"}, "--n=4294967296",
+                          "limit 4294967295");
+  // round(sqrt(n)) is the torus side; side 65535 is the largest whose n
+  // fits 32 bits, and 65535 * 65536 is the largest n that rounds to it.
+  expect_rejected_at_flag("giant-torus-speedup", {"--n=5000000000"},
+                          "--n=5000000000", "exceeds 4294901760");
+  expect_rejected_at_flag("giant-torus-speedup", {"--n=4294901761"},
+                          "--n=4294901761", "exceeds 4294901760");
+  expect_rejected_at_flag("giant-cycle-speedup", {"--n=4294967296"},
+                          "--n=4294967296", "limit 4294967295");
+
+  // The smallest accepted cycle runs.
+  const Experiment* experiment = default_registry().find("fig_cycle_speedup");
+  ASSERT_NE(experiment, nullptr);
+  ExperimentParams params;
+  params.seed = experiment->info.default_seed;
+  params.n = 23;
+  params.kmax = 256;
+  params.trials = 8;
+  ThreadPool pool(2);
+  const ExperimentResult result = experiment->run(params, pool);
+  ASSERT_FALSE(result.tables.empty());
+  EXPECT_EQ(result.tables.front().rows().size(), 9u);  // k = 1, 2, ..., 256
 }
 
 // --- sinks ------------------------------------------------------------------

@@ -181,7 +181,7 @@ TEST(LaneMode, CsrEngineBitIdenticalToImplicitEngine) {
   {
     const Vertex n = 96;
     const Graph g = make_cycle(n);
-    WalkEngine csr(g);
+    WalkEngineT csr{CsrSubstrate(g)};
     WalkEngineT<CycleSubstrate> impl{CycleSubstrate(n)};
     for (unsigned k : {1u, 3u, 16u}) {
       const std::vector<Vertex> starts(k, 0);
@@ -201,7 +201,7 @@ TEST(LaneMode, CsrEngineBitIdenticalToImplicitEngine) {
   {
     const Vertex side = 8;
     const Graph g = make_grid_2d(side);
-    WalkEngine csr(g);
+    WalkEngineT csr{CsrSubstrate(g)};
     WalkEngineT<TorusSubstrate> impl{TorusSubstrate(side)};
     const std::vector<Vertex> starts(4, 0);
     for (std::uint64_t trial = 0; trial < 12; ++trial) {
@@ -317,12 +317,16 @@ TEST(LaneMode, BitReproducibleAcrossThreadCounts) {
 
 TEST(LaneMode, VisitCountsSumToTokenSteps) {
   const Graph g = make_cycle(32);
-  WalkEngine engine(g);
+  WalkEngineT engine{CsrSubstrate(g)};
   const std::vector<Vertex> starts = {0, 16};
   engine.reset(starts);
+  // One round per call: chunked calls equal one 100-round run.
   std::vector<std::uint64_t> counts(g.num_vertices(), 0);
   Rng rng(11);
-  engine.run_for_steps(100, rng, 0.0, counts.data());
+  for (int round = 0; round < 100; ++round) {
+    engine.run_for_steps(1, rng);
+    for (const Vertex v : engine.tokens()) ++counts[v];
+  }
   std::uint64_t total = 0;
   for (std::uint64_t c : counts) total += c;
   EXPECT_EQ(total, 200u);  // 2 tokens x 100 rounds
@@ -395,7 +399,12 @@ TEST(LaneMode, CompleteGraphOccupancyUniform) {
     std::vector<std::uint64_t> counts(n, 0);
     Rng rng(5);
     constexpr std::uint64_t kRounds = 20000;
-    engine.run_for_steps(kRounds, rng, 0.0, counts.data());
+    // One round per call (chunked calls equal one run), tallying the
+    // landings.
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+      engine.run_for_steps(1, rng);
+      for (const Vertex v : engine.tokens()) ++counts[v];
+    }
     const double expected =
         static_cast<double>(8 * kRounds) / static_cast<double>(n);
     for (Vertex v = 0; v < n; ++v) {

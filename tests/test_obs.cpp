@@ -390,7 +390,7 @@ TEST(ObsGolden, ShardedCoverRunIsBitIdenticalUnderFullObservation) {
   CoverOptions opt;
   opt.lane_shards = 4;
   opt.shard_pool = &pool;
-  WalkEngine engine(g);
+  WalkEngineT engine{CsrSubstrate(g)};
 
   Rng baseline_rng(99);
   engine.reset(starts);

@@ -19,6 +19,7 @@
 #include "cli/sinks.hpp"
 #include "core/families.hpp"
 #include "graph/generators.hpp"
+#include "storage/block_store.hpp"
 #include "storage/ingest.hpp"
 #include "storage/mapped_graph.hpp"
 #include "storage/mwg.hpp"
@@ -511,6 +512,73 @@ TEST(MwgExperiments, BlockWalkTablesEqualInCore) {
       params.mem_budget = budget;
       EXPECT_EQ(in_core, tables_json(experiment->run(params, pool)));
     }
+  }
+}
+
+TEST(MwgExperiments, LargestExtentIsTheHeaviestBlocksTargets) {
+  // lollipop(24): a clique head and a path tail, so the 8-vertex blocks
+  // carry very different arc counts. The largest extent is the heaviest
+  // block's degree sum in 4-byte targets, for both loaders; a v1 file has
+  // no blocks and reports 0.
+  const Graph g = make_lollipop(24);
+  std::uint64_t heaviest = 0;
+  for (Vertex first = 0; first < g.num_vertices(); first += 8) {
+    std::uint64_t arcs = 0;
+    for (Vertex v = first; v < std::min<Vertex>(first + 8, g.num_vertices());
+         ++v) {
+      arcs += g.degree(v);
+    }
+    heaviest = std::max(heaviest, arcs);
+  }
+  TempFile v2("largest_extent_v2.mwg");
+  write_mwg(v2.path(), g, /*block_bits=*/3);
+  EXPECT_EQ(BlockedGraph(v2.path()).largest_extent_bytes(), heaviest * 4);
+  EXPECT_EQ(MappedGraph(v2.path()).largest_extent_bytes(), heaviest * 4);
+  TempFile v1("largest_extent_v1.mwg");
+  write_mwg(v1.path(), g);
+  EXPECT_EQ(MappedGraph(v1.path()).largest_extent_bytes(), 0u);
+}
+
+TEST(MwgExperiments, BlockWalkPreambleNamesABudgetBelowTheLargestExtent) {
+  // margulis(16) at block bits 5: 32 vertices x 8 arcs x 4 bytes = 1,024
+  // bytes per extent. A smaller budget still holds one extent, and the
+  // preamble says so; a budget that fits one says nothing of it. The
+  // tables are the same either way.
+  const Graph g = make_margulis_expander(16);
+  TempFile file("preamble_budget.mwg");
+  write_mwg(file.path(), g, /*block_bits=*/5);
+  const cli::Experiment* experiment =
+      cli::default_registry().find("mwg-starts");
+  ASSERT_NE(experiment, nullptr);
+  ThreadPool pool(1);
+  cli::ExperimentParams params;
+  params.seed = experiment->info.default_seed;
+  params.trials = 8;
+  params.k = 4;
+  params.graph = file.path();
+  params.block_walk = true;
+  const std::string kBelow =
+      "The budget is below the largest extent, so the cache still holds one "
+      "extent of up to 1,024 bytes.";
+  std::string tables;
+  for (const char* budget : {"1", "1023", "1024", "256M"}) {
+    SCOPED_TRACE(budget);
+    params.mem_budget = budget;
+    const ExperimentResult result = experiment->run(params, pool);
+    ASSERT_FALSE(result.preamble.empty());
+    const std::string& preamble = result.preamble.back();
+    EXPECT_NE(preamble.find("(graph metadata stays resident)"),
+              std::string::npos)
+        << preamble;
+    EXPECT_EQ(preamble.find("mapped"), std::string::npos) << preamble;
+    const bool below = std::string(budget) == "1" ||
+                       std::string(budget) == "1023";
+    EXPECT_EQ(preamble.find(kBelow) != std::string::npos, below) << preamble;
+    ExperimentResult tables_only;
+    tables_only.tables = result.tables;
+    const std::string json = cli::render_json(tables_only);
+    if (tables.empty()) tables = json;
+    EXPECT_EQ(json, tables);
   }
 }
 

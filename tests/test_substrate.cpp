@@ -164,8 +164,8 @@ TEST(Substrates, ConstructorsValidate) {
   EXPECT_THROW(CompleteSubstrate(1), std::invalid_argument);
 
   // CsrSubstrate upholds the walkable-by-construction invariant too: a
-  // degree-0 vertex would make neighbor() read past its empty row, so a
-  // bare WalkEngineT<CsrSubstrate> must be as safe as WalkEngine.
+  // degree-0 vertex would make neighbor() read past its empty row, so
+  // binding such a graph must fail before any engine can walk it.
   GraphBuilder builder(3);
   builder.add_edge(0, 1);  // vertex 2 isolated
   const Graph unwalkable = builder.build();
@@ -174,7 +174,7 @@ TEST(Substrates, ConstructorsValidate) {
 
 // --- engine equivalence -------------------------------------------------------
 
-/// Runs the same trials through the Graph-facing CSR engine and through
+/// Runs the same trials through the CSR engine bound to g and through
 /// WalkEngineT<S>; with a CSR-ordered substrate both the sampled cover
 /// times and the RNG states must match draw for draw.
 template <Substrate S>
@@ -183,7 +183,7 @@ void expect_engine_bit_identical(const S& substrate, const Graph& g,
                                  double laziness = 0.0) {
   CoverOptions options;
   options.laziness = laziness;
-  WalkEngine csr_engine(g);
+  WalkEngineT csr_engine{CsrSubstrate(g)};
   WalkEngineT<S> sub_engine(substrate);
   const std::vector<Vertex> starts(k, 0);
   for (std::uint64_t trial = 0; trial < 24; ++trial) {

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "reference_walks.hpp"
+#include "walk/engine.hpp"
 
 namespace manywalks {
 namespace {
@@ -189,10 +191,53 @@ TEST(CoverageCurveTest, HonorsStepCap) {
   }
 }
 
+TEST(CoverageCurveTest, MatchesLaneReferencePastCover) {
+  // Each chunk of the curve is a run_until_visited(n) capped at the chunk
+  // length, so chunks after the cover round run nothing. Every point, the
+  // ones past cover included, must equal the lane reference walk's count
+  // after that many rounds. complete(50) covers in about n·H_n/k = 75
+  // rounds at k = 3; the curve runs 600, in chunks of 7 with a short last
+  // one.
+  const Graph g = make_complete(50);
+  const std::vector<Vertex> starts = {0, 7, 7};
+  Rng rng(21);
+  const CoverageCurve curve = sample_coverage_curve(g, starts, 600, 7, rng);
+  ASSERT_EQ(curve.times.back(), 600u);
+  Rng ref_rng(21);
+  LaneReferenceWalk<CsrSubstrate> reference(CsrSubstrate(g), starts);
+  std::uint64_t t = 0;
+  std::size_t covered_points = 0;
+  for (std::size_t i = 0; i < curve.times.size(); ++i) {
+    reference.run_for_steps(curve.times[i] - t, ref_rng);
+    t = curve.times[i];
+    EXPECT_EQ(curve.visited[i], reference.num_visited()) << "t=" << t;
+    covered_points += curve.visited[i] == g.num_vertices() ? 1 : 0;
+  }
+  EXPECT_GT(covered_points, 10u);  // the run went well past its cover round
+}
+
+/// Per-vertex visit counts of a single walk from `start` over `steps`
+/// steps, the start's t=0 occupancy included. Chunked engine runs equal
+/// one run, so one round per call tallies exactly the landings of a
+/// `steps`-round run.
+std::vector<std::uint64_t> visit_counts(const Graph& g, Vertex start,
+                                        std::uint64_t steps, Rng& rng) {
+  WalkEngineT engine{CsrSubstrate(g)};
+  const Vertex starts[1] = {start};
+  engine.reset(starts);
+  std::vector<std::uint64_t> counts(g.num_vertices(), 0);
+  counts[start] = 1;
+  for (std::uint64_t t = 0; t < steps; ++t) {
+    engine.run_for_steps(1, rng);
+    ++counts[engine.tokens()[0]];
+  }
+  return counts;
+}
+
 TEST(VisitCounts, SumEqualsStepsPlusOne) {
   const Graph g = make_cycle(7);
   Rng rng(16);
-  const auto counts = sample_visit_counts(g, 3, 1000, rng);
+  const auto counts = visit_counts(g, 3, 1000, rng);
   std::uint64_t total = 0;
   for (auto c : counts) total += c;
   EXPECT_EQ(total, 1001u);
@@ -203,7 +248,7 @@ TEST(VisitCounts, LongRunApproachesStationary) {
   const Graph g = make_star(5);  // pi(hub) = 1/2
   Rng rng(17);
   const std::uint64_t steps = 200000;
-  const auto counts = sample_visit_counts(g, 0, steps, rng);
+  const auto counts = visit_counts(g, 0, steps, rng);
   EXPECT_NEAR(static_cast<double>(counts[0]) / static_cast<double>(steps),
               0.5, 0.02);
 }

@@ -3,7 +3,8 @@
 
 The walk engine (src/walk/engine.hpp) depends on two round kernels being
 inlined into the loops that drive them: the non-lazy stride round
-`lane_round_csr_regular<false, false, ...>` and the fused direct round
+`lane_round_csr_regular<false, ...>` (its serial, tallied copy and the
+sharded driver's untallied one) and the fused direct round
 `lane_round_direct`. Compiled out of line, either one turns every round
 into a call, which at small k costs about as much as the round itself.
 GCC's inlining choices move with the size of engine.cpp, so this check
@@ -38,7 +39,7 @@ DEFAULT_PATHS = ["build/libmanywalks.a"]
 
 # Demangled-name prefixes of the kernels that must never be out of line.
 MUST_INLINE = (
-    "manywalks::detail::lane_round_csr_regular<false, false, ",
+    "manywalks::detail::lane_round_csr_regular<false, ",
     "manywalks::detail::lane_round_direct<",
 )
 
